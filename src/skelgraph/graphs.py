@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sparse import SparseMatrix, kron, kron_sum, support_union
+from .sparse import SparseMatrix, block_assemble, kron, kron_sum, support_union
 
 __all__ = [
     "Graph",
@@ -103,16 +103,8 @@ def _check_flags(g1, g2):
 def disjoint_union(g1, g2):
     """Block-diagonal sum; vertices of g2 are shifted by |V(g1)|."""
     _check_flags(g1, g2)
-    a, b = g1.adj, g2.adj
-    n = a.nrows + b.nrows
-    adj = SparseMatrix(
-        n,
-        n,
-        np.concatenate([a.rows, b.rows + a.nrows]),
-        np.concatenate([a.cols, b.cols + a.nrows]),
-        np.concatenate([a.vals, b.vals]),
-    )
-    return Graph(adj, g1.undirected)
+    sizes = [g1.n, g2.n]
+    return Graph(block_assemble({(0, 0): g1.adj, (1, 1): g2.adj}, sizes, sizes), g1.undirected)
 
 
 def box_product(g1, g2):

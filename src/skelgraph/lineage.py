@@ -35,7 +35,7 @@ from .sparse import (
 
 __all__ = [
     "GradedGraph",
-    "VertexCodec",
+    "LevelCodec",
     "Diagnostics",
     "assemble_flat",
     "validate",
@@ -94,11 +94,23 @@ class GradedGraph:
         )
 
 
-@dataclass(frozen=True)
-class VertexCodec:
-    """Flat indexing of a graded graph: level blocks contiguous, levels ascending."""
+@dataclass(frozen=True, eq=False)
+class LevelCodec:
+    """Vertex layout of one product level: ordered blocks of factor levels.
 
-    sizes: tuple
+    ``blocks[b]`` is the tuple of factor levels of block b and ``dims[b]``
+    the per-factor vertex counts; within a block, factor indices combine
+    row-major (last factor fastest).  The one-factor codec of a graded
+    graph (:func:`codec_of`) has one block per level, levels ascending, and
+    indexes its vertices with :meth:`flat` and :meth:`unflat`.
+    """
+
+    blocks: tuple
+    dims: tuple
+
+    @property
+    def sizes(self):
+        return tuple(int(np.prod(d)) for d in self.dims)
 
     @property
     def offsets(self):
@@ -108,24 +120,45 @@ class VertexCodec:
     def total(self):
         return int(sum(self.sizes))
 
+    def block_index(self, lvec):
+        try:
+            return self.blocks.index(tuple(lvec))
+        except ValueError:
+            raise KeyError(f"no block {lvec} at this level") from None
+
+    def rank(self, lvec, ivec):
+        b = self.block_index(lvec)
+        flat = 0
+        for size, i in zip(self.dims[b], ivec):
+            flat = flat * size + i
+        return int(self.offsets[b]) + flat
+
+    def unrank(self, v):
+        off = self.offsets
+        b = int(np.searchsorted(off, v, side="right")) - 1
+        rem = v - int(off[b])
+        ivec = []
+        for size in reversed(self.dims[b]):
+            ivec.append(rem % size)
+            rem //= size
+        return self.blocks[b], tuple(reversed(ivec))
+
     def flat(self, level, j):
         if not 0 <= j < self.sizes[level]:
             raise ValueError(f"vertex {j} out of range for level {level}")
-        return int(self.offsets[level]) + j
+        return self.rank((level,), (j,))
 
     def unflat(self, v):
-        off = self.offsets
-        level = int(np.searchsorted(off, v, side="right")) - 1
         if not 0 <= v < self.total:
             raise ValueError(f"flat vertex {v} out of range")
-        return level, int(v - off[level])
-
-    def level_of_vertex(self):
-        return np.repeat(np.arange(len(self.sizes)), self.sizes)
+        (level,), (j,) = self.unrank(v)
+        return level, j
 
 
 def codec_of(gg):
-    return VertexCodec(tuple(gg.level_sizes()))
+    """One-factor codec: level blocks contiguous, levels ascending."""
+    sizes = gg.level_sizes()
+    return LevelCodec(tuple((l,) for l in range(len(sizes))), tuple((n,) for n in sizes))
 
 
 def truncate(gg, top_level):
@@ -227,27 +260,26 @@ def unit_lineage(num_top_level):
     return GradedGraph(levels, inter, tuple(inter), {"name": "unit"})
 
 
-def path_lineage(num_top_level, root_self_loop=True):
-    """Level l is the path on 2**l vertices; fine pairs aggregate to parents."""
+def _pair_lineage(num_top_level, root_self_loop, level_graph, name):
+    """Level l is level_graph(2**l); fine pairs aggregate to parents."""
     levels = [_root(root_self_loop)]
     inter, prolong = [], []
     for l in range(1, num_top_level + 1):
-        levels.append(path_graph(2 ** l))
+        levels.append(level_graph(2 ** l))
         s = _pair_aggregation(2 ** (l - 1))
         inter.append(s)
         prolong.append(s.scale(2.0 ** -0.5))
-    return GradedGraph(levels, inter, prolong, {"name": "path"})
+    return GradedGraph(levels, inter, prolong, {"name": name})
+
+
+def path_lineage(num_top_level, root_self_loop=True):
+    """Level l is the path on 2**l vertices; fine pairs aggregate to parents."""
+    return _pair_lineage(num_top_level, root_self_loop, path_graph, "path")
 
 
 def complete_lineage(num_top_level, root_self_loop=True):
-    levels = [_root(root_self_loop)]
-    inter, prolong = [], []
-    for l in range(1, num_top_level + 1):
-        levels.append(complete_graph(2 ** l))
-        s = _pair_aggregation(2 ** (l - 1))
-        inter.append(s)
-        prolong.append(s.scale(2.0 ** -0.5))
-    return GradedGraph(levels, inter, prolong, {"name": "complete"})
+    """Level l is the complete graph on 2**l vertices; fine pairs aggregate to parents."""
+    return _pair_lineage(num_top_level, root_self_loop, complete_graph, "complete")
 
 
 def levelwise_product(gg1, gg2, kind="box"):
@@ -273,25 +305,19 @@ def levelwise_oplus(gg1, gg2):
     """Per-level disjoint union; inter maps stay block-diagonal."""
     if gg1.num_levels != gg2.num_levels:
         raise ValueError("levelwise sum needs equally deep factors")
-    levels = []
-    for a, b in zip(gg1.levels, gg2.levels):
-        adj = block_assemble({(0, 0): a.adj, (1, 1): b.adj}, [a.n, b.n], [a.n, b.n])
-        levels.append(Graph(adj, a.undirected))
-    inter = [
-        block_assemble(
-            {(0, 0): s1, (1, 1): s2}, [s1.nrows, s2.nrows], [s1.ncols, s2.ncols]
-        )
-        for s1, s2 in zip(gg1.inter, gg2.inter)
+    levels = [
+        Graph(_block_diagonal(a.adj, b.adj), a.undirected)
+        for a, b in zip(gg1.levels, gg2.levels)
     ]
+    inter = [_block_diagonal(s1, s2) for s1, s2 in zip(gg1.inter, gg2.inter)]
     prolong = None
     if gg1.prolong is not None and gg2.prolong is not None:
-        prolong = tuple(
-            block_assemble(
-                {(0, 0): p1, (1, 1): p2}, [p1.nrows, p2.nrows], [p1.ncols, p2.ncols]
-            )
-            for p1, p2 in zip(gg1.prolong, gg2.prolong)
-        )
+        prolong = tuple(_block_diagonal(p1, p2) for p1, p2 in zip(gg1.prolong, gg2.prolong))
     return GradedGraph(levels, inter, prolong, {"name": "levelwise-sum"})
+
+
+def _block_diagonal(a, b):
+    return block_assemble({(0, 0): a, (1, 1): b}, [a.nrows, b.nrows], [a.ncols, b.ncols])
 
 
 def grid2d_lineage(num_top_level, root_self_loop=True):

@@ -7,9 +7,15 @@ pair-aggregation prolongations with orthonormal columns, so coarsening one
 dimension at a time is an exact Galerkin identity and the recursive solver
 can semicoarsen along either factor.
 
-Work is counted in smoothing units: one sweep costs the nonzero count of
-the matrix being smoothed; transfers are free.  All solvers are free of
-randomness, so traces are bit-reproducible.
+All solvers run one Galerkin gamma-cycle recursion: smooth, restrict,
+recurse gamma times, prolong, combine, smooth.  Each supplies its grids (an
+operator per grid and, per grid, the coarser grids correcting it with their
+restriction and prolongation), its coarsest-grid rule (one exact sweep or
+full smoothing) and how corrections combine (a plain sum or energy-optimal
+weights).  Work is counted in smoothing units, charged where each sweep
+runs: one sweep costs the nonzero count of its matrix; transfers are free;
+``cycle_cost`` recomputes it analytically as the check.  All solvers are
+free of randomness, so traces are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparse import SparseMatrix, block_assemble, kron, kron_sum, write_matrix_market
+from .sparse import SparseMatrix, block_assemble, identity, kron, kron_sum, write_matrix_market
 
 __all__ = [
     "CycleSpec",
@@ -84,10 +90,7 @@ class WorkTrace:
         return "\n".join(lines) + "\n"
 
     def final_residuals(self):
-        out = {}
-        for alg, _, _, res in self.rows:
-            out[alg] = res
-        return out
+        return {alg: res for alg, _, _, res in self.rows}
 
 
 def _tridiagonal(n):
@@ -196,76 +199,102 @@ def gauss_seidel(a, x, b, sweeps=1):
     return x
 
 
-class GaussSeidelIteration:
+class _GalerkinCycle:
+    """The cycle recursion of the module docstring over ``ops[g]``, the
+    operator of grid g, and ``children[g]``, its (child, restrict, prolong)
+    entries."""
+
+    # one sweep on a grid without children: an exact solve on the 1x1
+    # coarsest grids, and the whole cycle of the plain Gauss-Seidel baseline
+    coarsest_exact = True
+    energy_weights = False  # a plain sum of the corrections otherwise
+
+    def __init__(self, problem, spec, top, ops, children):
+        self.problem = problem
+        self.spec = spec
+        self.top = top
+        self.ops = ops
+        self.children = children
+        self.cycle_cost = float(self._cost(top, {}))
+
+    def _cost(self, g, memo):
+        """Analytic work of one visit to grid g, the check on what _visit charges."""
+        if g not in memo:
+            a, children, spec = self.ops[g], self.children[g], self.spec
+            if not children and self.coarsest_exact:
+                memo[g] = a.nnz
+            else:
+                below = sum(self._cost(child, memo) for child, _, _ in children)
+                memo[g] = (spec.pre_smooth + spec.post_smooth) * a.nnz + spec.gamma * below
+        return memo[g]
+
+    def _visit(self, g, x, b):
+        a, children, spec = self.ops[g], self.children[g], self.spec
+        if not children and self.coarsest_exact:
+            return gauss_seidel(a, x, b, 1), float(a.nnz)
+        x = gauss_seidel(a, x, b, spec.pre_smooth)
+        work = float(spec.pre_smooth * a.nnz)
+        r = b - a @ x
+        corrections = []
+        for child, restrict, prolong in children:
+            rc = restrict(r)
+            c = np.zeros(rc.size)
+            for _ in range(spec.gamma):
+                c, w = self._visit(child, c, rc)
+                work += w
+            corrections.append(prolong(c))
+        if self.energy_weights:
+            x = x + _energy_optimal_combination(a, r, corrections)
+        else:
+            x = sum(corrections, x)
+        return gauss_seidel(a, x, b, spec.post_smooth), work + spec.post_smooth * a.nnz
+
+    def cycle(self, x):
+        return self._visit(self.top, x, self.problem.b)
+
+    def residual(self, x):
+        return float(np.linalg.norm(self.problem.b - self.problem.A @ x))
+
+
+def _sparse_child(child, p):
+    """A coarser grid reached through prolongation p and restriction p.T."""
+    return child, lambda r: p.T @ r, lambda c: p @ c
+
+
+def _factor_child(child, p, axis):
+    """A grid coarsened along one axis of a 2D tensor grid by that factor's
+    dense prolongation p."""
+    if axis == 0:
+        return (child, lambda r: (p.T @ r.reshape(p.shape[0], -1)).ravel(),
+                lambda c: (p @ c.reshape(p.shape[1], -1)).ravel())
+    return (child, lambda r: (r.reshape(-1, p.shape[0]) @ p).ravel(),
+            lambda c: (c.reshape(-1, p.shape[1]) @ p.T).ravel())
+
+
+class GaussSeidelIteration(_GalerkinCycle):
     """Plain smoothing as a baseline; one cycle is one sweep."""
 
     name = "gauss_seidel"
 
     def __init__(self, problem, cycle=None):
-        self.a = problem.A
-        self.b = problem.b
-        self.cycle_cost = float(problem.A.nnz)
-
-    def cycle(self, x):
-        return gauss_seidel(self.a, x, self.b, 1), self.cycle_cost
-
-    def residual(self, x):
-        return float(np.linalg.norm(self.b - self.a @ x))
+        super().__init__(problem, CycleSpec(), 0, {0: problem.A}, {0: []})
 
 
-class ClassicalMultigrid:
+class ClassicalMultigrid(_GalerkinCycle):
     """Geometric multigrid coarsening both dimensions at once (Galerkin)."""
 
     def __init__(self, problem, cycle=CycleSpec()):
-        self.spec = cycle
-        self.b = problem.b
         self.name = "classical_mg_v" if cycle.gamma == 1 else "classical_mg_w"
-        ops1, _ = problem.factor_ops
         pro1, _ = problem.factor_prolong
-        self.ops = [None] * (problem.k + 1)
-        self.transfer = [None] * problem.k
-        self.ops[problem.k] = problem.A
+        ops, children = [None] * problem.k + [problem.A], [[] for _ in range(problem.k + 1)]
         for i in range(problem.k - 1, 0, -1):
             p2 = kron(pro1[i - 1], pro1[i - 1])
-            self.transfer[i] = p2
-            self.ops[i] = p2.T @ self.ops[i + 1] @ p2
-        self.k = problem.k
-        self.cycle_cost = float(self._cost(self.k))
-
-    def _cost(self, level):
-        if level == 1:
-            return self.ops[1].nnz
-        local = (self.spec.pre_smooth + self.spec.post_smooth) * self.ops[level].nnz
-        return local + self.spec.gamma * self._cost(level - 1)
-
-    def _descend(self, level, x, b):
-        a = self.ops[level]
-        if level == 1:
-            # coarsest grid: a single exact sweep solves the 1x1 system
-            return gauss_seidel(a, x, b, 1), float(a.nnz)
-        work = 0.0
-        x = gauss_seidel(a, x, b, self.spec.pre_smooth)
-        work += self.spec.pre_smooth * a.nnz
-        r = b - a @ x
-        p = self.transfer[level - 1]
-        rc = p.T @ r
-        c = np.zeros(p.ncols)
-        for _ in range(self.spec.gamma):
-            c, w = self._descend(level - 1, c, rc)
-            work += w
-        x = x + p @ c
-        x = gauss_seidel(a, x, b, self.spec.post_smooth)
-        work += self.spec.post_smooth * a.nnz
-        return x, work
-
-    def cycle(self, x):
-        return self._descend(self.k, x, self.b)
-
-    def residual(self, x):
-        return float(np.linalg.norm(self.b - self.ops[self.k] @ x))
+            ops[i] = p2.T @ ops[i + 1] @ p2
+            children[i + 1] = [_sparse_child(i, p2)]
+        super().__init__(problem, cycle, problem.k, ops, children)
 
 
-class RecursiveSkeletal:
+class RecursiveSkeletal(_GalerkinCycle):
     """Semicoarsened recursion: every visited grid restricts its residual
     along each factor dimension still above the coarsest level and solves
     there from a zero initial guess.
@@ -278,85 +307,47 @@ class RecursiveSkeletal:
     which also makes every correction step monotone in the energy norm.
     """
 
+    coarsest_exact = False
+    energy_weights = True
+
     def __init__(self, problem, cycle=CycleSpec()):
-        self.spec = cycle
-        self.problem = problem
         self.name = "skeletal_recursive_v" if cycle.gamma == 1 else "skeletal_recursive_w"
-        self.sizes = [0] + [2 ** i - 1 for i in range(1, problem.k + 1)]
+        k = problem.k
         ops1, ops2 = problem.factor_ops
-        self.ops1, self.ops2 = ops1, ops2
-        pro1, pro2 = problem.factor_prolong
-        self.p1 = [None] + [p.to_dense() for p in pro1]  # p1[i]: level i -> i+1
-        self.p2 = [None] + [p.to_dense() for p in pro2]
-        self._grid_cache = {}
-        self._cost_cache = {}
-        self.cycle_cost = float(self._cost(problem.k, problem.k))
+        # dense factor prolongations; p1[i] maps level i to i+1
+        p1, p2 = ([None] + [p.to_dense() for p in pro] for pro in problem.factor_prolong)
+        ops, children = {}, {}
+        # depth first from the finest grid, the order in which the cycle first
+        # reaches them: building the small grids first raises peak memory
+        order = [(l1, k) for l1 in range(k, 0, -1)]
+        order += [(l1, l2) for l1 in range(1, k + 1) for l2 in range(k - 1, 0, -1)]
+        for l1, l2 in order:
+            ops[l1, l2] = kron_sum(ops1[l1 - 1], ops2[l2 - 1])
+            children[l1, l2] = []
+            if l1 > 1:
+                children[l1, l2].append(_factor_child((l1 - 1, l2), p1[l1 - 1], 0))
+            if l2 > 1:
+                children[l1, l2].append(_factor_child((l1, l2 - 1), p2[l2 - 1], 1))
+        super().__init__(problem, cycle, (k, k), ops, children)
 
     def _grid(self, l1, l2):
-        key = (l1, l2)
-        if key not in self._grid_cache:
-            self._grid_cache[key] = kron_sum(self.ops1[l1 - 1], self.ops2[l2 - 1])
-        return self._grid_cache[key]
-
-    def _cost(self, l1, l2):
-        key = (l1, l2)
-        if key not in self._cost_cache:
-            local = (self.spec.pre_smooth + self.spec.post_smooth) * self._grid(l1, l2).nnz
-            if l1 > 1:
-                local += self.spec.gamma * self._cost(l1 - 1, l2)
-            if l2 > 1:
-                local += self.spec.gamma * self._cost(l1, l2 - 1)
-            self._cost_cache[key] = local
-        return self._cost_cache[key]
-
-    def _solve(self, l1, l2, x, b):
-        a = self._grid(l1, l2)
-        n1, n2 = self.sizes[l1], self.sizes[l2]
-        work = 0.0
-        x = gauss_seidel(a, x, b, self.spec.pre_smooth)
-        work += self.spec.pre_smooth * a.nnz
-        r = b - a @ x
-        corrections = []
-        if l1 > 1:
-            p = self.p1[l1 - 1]
-            r1 = (p.T @ r.reshape(n1, n2)).ravel()
-            c = np.zeros(r1.size)
-            for _ in range(self.spec.gamma):
-                c, w = self._solve(l1 - 1, l2, c, r1)
-                work += w
-            corrections.append((p @ c.reshape(self.sizes[l1 - 1], n2)).ravel())
-        if l2 > 1:
-            p = self.p2[l2 - 1]
-            r2 = (r.reshape(n1, n2) @ p).ravel()
-            c = np.zeros(r2.size)
-            for _ in range(self.spec.gamma):
-                c, w = self._solve(l1, l2 - 1, c, r2)
-                work += w
-            corrections.append((c.reshape(n1, self.sizes[l2 - 1]) @ p.T).ravel())
-        x = x + _energy_optimal_combination(a, r, corrections)
-        x = gauss_seidel(a, x, b, self.spec.post_smooth)
-        work += self.spec.post_smooth * a.nnz
-        return x, work
+        return self.ops[l1, l2]
 
     def solve_on_grid(self, l1, l2, x, b):
         """One recursion from an arbitrary grid; exposed for testing."""
-        return self._solve(l1, l2, np.array(x, dtype=float), b)
-
-    def cycle(self, x):
-        return self._solve(self.problem.k, self.problem.k, x, self.problem.b)
-
-    def residual(self, x):
-        return float(np.linalg.norm(self.problem.b - self.problem.A @ x))
+        return self._visit((l1, l2), np.array(x, dtype=float), b)
 
 
-class LevelwiseSkeletal:
+class LevelwiseSkeletal(_GalerkinCycle):
     """Classical multigrid over summed-level systems: the level-L operator is
     the block diagonal of every factor-level pair (i1, i2) with i1 + i2 = L,
     transfers move one factor per block and are column-renormalized."""
 
+    # level L-1 repeats the level-L function content across its blocks, so
+    # the raw correction overcounts; it is scaled to the energy optimum
+    energy_weights = True
+
     def __init__(self, problem, cycle=CycleSpec()):
-        self.spec = cycle
-        self.problem = problem
         self.name = "skeletal_levelwise_v" if cycle.gamma == 1 else "skeletal_levelwise_w"
         k = problem.k
         sizes = [0] + [2 ** i - 1 for i in range(1, k + 1)]
@@ -369,64 +360,28 @@ class LevelwiseSkeletal:
             ]
             for level in range(2, 2 * k + 1)
         }
-        self.ops = {}
+        dims = {L: [sizes[i1] * sizes[i2] for i1, i2 in bl] for L, bl in self.blocks.items()}
+        ops = {}
         self.transfer = {}
-        for level in range(2, 2 * k + 1):
-            bl = self.blocks[level]
-            dims = [sizes[i1] * sizes[i2] for i1, i2 in bl]
+        children = {2: []}
+        for level, bl in self.blocks.items():
             diag = {
                 (j, j): kron_sum(ops1[i1 - 1], ops2[i2 - 1])
                 for j, (i1, i2) in enumerate(bl)
             }
-            self.ops[level] = block_assemble(diag, dims, dims)
+            ops[level] = block_assemble(diag, dims[level], dims[level])
         for level in range(3, 2 * k + 1):
-            fine, coarse = self.blocks[level], self.blocks[level - 1]
-            rows = [sizes[i1] * sizes[i2] for i1, i2 in fine]
-            cols = [sizes[i1] * sizes[i2] for i1, i2 in coarse]
             blocks = {}
-            for fj, (i1, i2) in enumerate(fine):
-                for cj, (j1, j2) in enumerate(coarse):
+            for fj, (i1, i2) in enumerate(self.blocks[level]):
+                for cj, (j1, j2) in enumerate(self.blocks[level - 1]):
                     if (j1, j2) == (i1 - 1, i2):
-                        blocks[(fj, cj)] = kron(pro1[i1 - 2], _identity_like(sizes[i2]))
+                        blocks[(fj, cj)] = kron(pro1[i1 - 2], identity(sizes[i2]))
                     elif (j1, j2) == (i1, i2 - 1):
-                        blocks[(fj, cj)] = kron(_identity_like(sizes[i1]), pro2[i2 - 2])
-            p = block_assemble(blocks, rows, cols)
+                        blocks[(fj, cj)] = kron(identity(sizes[i1]), pro2[i2 - 2])
+            p = block_assemble(blocks, dims[level], dims[level - 1])
             self.transfer[level] = _renormalize_columns(p)
-        self.top = 2 * k
-        self.cycle_cost = float(self._cost(self.top))
-
-    def _cost(self, level):
-        if level == 2:
-            return self.ops[2].nnz
-        local = (self.spec.pre_smooth + self.spec.post_smooth) * self.ops[level].nnz
-        return local + self.spec.gamma * self._cost(level - 1)
-
-    def _descend(self, level, x, b):
-        a = self.ops[level]
-        if level == 2:
-            return gauss_seidel(a, x, b, 1), float(a.nnz)
-        work = 0.0
-        x = gauss_seidel(a, x, b, self.spec.pre_smooth)
-        work += self.spec.pre_smooth * a.nnz
-        r = b - a @ x
-        p = self.transfer[level]
-        rc = p.T @ r
-        c = np.zeros(p.ncols)
-        for _ in range(self.spec.gamma):
-            c, w = self._descend(level - 1, c, rc)
-            work += w
-        # level L-1 repeats the level-L function content across its blocks,
-        # so the raw correction overcounts; scale it to the energy optimum
-        x = x + _energy_optimal_combination(a, r, [p @ c])
-        x = gauss_seidel(a, x, b, self.spec.post_smooth)
-        work += self.spec.post_smooth * a.nnz
-        return x, work
-
-    def cycle(self, x):
-        return self._descend(self.top, x, self.problem.b)
-
-    def residual(self, x):
-        return float(np.linalg.norm(self.problem.b - self.problem.A @ x))
+            children[level] = [_sparse_child(level - 1, self.transfer[level])]
+        super().__init__(problem, cycle, 2 * k, ops, children)
 
 
 def _energy_optimal_combination(a, r, corrections):
@@ -446,11 +401,6 @@ def _energy_optimal_combination(a, r, corrections):
     for coeff, d in zip(alpha, corrections):
         out += coeff * d
     return out
-
-
-def _identity_like(n):
-    idx = np.arange(n)
-    return SparseMatrix(n, n, idx, idx, np.ones(n))
 
 
 def _renormalize_columns(p):

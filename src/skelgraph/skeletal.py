@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph
-from .lineage import GradedGraph, assemble_flat, codec_of, truncate
+from .lineage import GradedGraph, LevelCodec, assemble_flat, codec_of, truncate
 from .sparse import (
     Permutation,
     SparseMatrix,
@@ -53,54 +52,6 @@ __all__ = [
     "alignment_permutation",
     "factor_swap_permutation",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class LevelCodec:
-    """Vertex layout of one product level: ordered blocks of factor levels.
-
-    ``blocks[b]`` is the tuple of factor levels of block b and ``dims[b]``
-    the per-factor vertex counts; within a block, factor indices combine
-    row-major (last factor fastest).
-    """
-
-    blocks: tuple
-    dims: tuple
-
-    @property
-    def sizes(self):
-        return tuple(int(np.prod(d)) for d in self.dims)
-
-    @property
-    def offsets(self):
-        return np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
-
-    @property
-    def total(self):
-        return int(sum(self.sizes))
-
-    def block_index(self, lvec):
-        try:
-            return self.blocks.index(tuple(lvec))
-        except ValueError:
-            raise KeyError(f"no block {lvec} at this level") from None
-
-    def rank(self, lvec, ivec):
-        b = self.block_index(lvec)
-        flat = 0
-        for size, i in zip(self.dims[b], ivec):
-            flat = flat * size + i
-        return int(self.offsets[b]) + flat
-
-    def unrank(self, v):
-        off = self.offsets
-        b = int(np.searchsorted(off, v, side="right")) - 1
-        rem = v - int(off[b])
-        ivec = []
-        for size in reversed(self.dims[b]):
-            ivec.append(rem % size)
-            rem //= size
-        return self.blocks[b], tuple(reversed(ivec))
 
 
 def _fetch_inter(gg, row_level, col_level, weights):

@@ -408,19 +408,25 @@ def read_matrix_market(path):
         header = fh.readline().strip().split()
         if len(header) < 5 or header[0] != "%%MatrixMarket" or header[2] != "coordinate":
             raise ValueError(f"{path}: not a coordinate Matrix Market file")
+        if header[3] not in ("real", "integer") or header[4] not in ("general", "symmetric"):
+            raise ValueError(f"{path}: unsupported Matrix Market type {' '.join(header[3:5])}")
         symmetric = header[4] == "symmetric"
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
-        nrows, ncols, nnz = (int(t) for t in line.split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for i in range(nnz):
-            t = fh.readline().split()
-            rows[i] = int(t[0]) - 1
-            cols[i] = int(t[1]) - 1
-            vals[i] = float(t[2])
+        # one handler around the whole loop: a check per line would slow every read
+        try:
+            nrows, ncols, nnz = (int(t) for t in line.split())
+            rows = np.empty(nnz, dtype=np.int64)
+            cols = np.empty(nnz, dtype=np.int64)
+            vals = np.empty(nnz)
+            for i in range(nnz):
+                t = fh.readline().split()
+                rows[i] = int(t[0]) - 1
+                cols[i] = int(t[1]) - 1
+                vals[i] = float(t[2])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: truncated or malformed size or entry line") from exc
     if symmetric:
         off = rows != cols
         rows, cols = (

@@ -108,6 +108,22 @@ def test_validate_flags_corruption(tmp_path):
     assert main(["validate", str(src)]) == 2
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda text: "\n".join(text.splitlines()[:-2]) + "\n",
+    lambda text: text.replace("coordinate real", "coordinate pattern", 1),
+], ids=["truncated", "pattern-header"])
+def test_validate_malformed_matrix_is_one_error_line(tmp_path, capsys, corrupt):
+    src = tmp_path / "p"
+    main(["gen", "path", "--levels", "3", "--out", str(src)])
+    capsys.readouterr()
+    target = src / "level_03.mtx"
+    target.write_text(corrupt(target.read_text()))
+    assert main(["validate", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "level_03.mtx" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_export_formats(tmp_path):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "2", "--out", str(src)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skelgraph.multigrid import (
+    ALGORITHMS,
     ClassicalMultigrid,
     CycleSpec,
     GaussSeidelIteration,
@@ -155,6 +156,19 @@ def test_classical_work_accounting_exact():
     expected = sum(2 * solver.ops[i].nnz for i in range(2, prob.k + 1)) + solver.ops[1].nnz
     assert work == expected == solver.cycle_cost
     assert float(work).is_integer()
+
+
+def test_every_algorithm_charges_its_cycle_cost():
+    # the work a cycle charges where its sweeps run must equal the analytic cost
+    for bc in (1, 2):
+        prob = build_problem(3, bc)
+        solvers = [make_solver(name, prob) for name in sorted(ALGORITHMS)]
+        solvers.append(LevelwiseSkeletal(prob, CycleSpec(gamma=2)))
+        for solver in solvers:
+            x = np.zeros(prob.n ** 2)
+            for _ in range(2):
+                x, work = solver.cycle(x)
+                assert work == solver.cycle_cost, solver.name
 
 
 def test_recursive_skeletal_coarsest_grid_smooths_only():

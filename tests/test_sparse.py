@@ -256,6 +256,22 @@ def test_matrix_market_round_trip_symmetric(tmp_path):
     assert read_matrix_market(path) == a
 
 
+def test_matrix_market_rejects_truncated_file(tmp_path):
+    path = tmp_path / "t.mtx"
+    write_matrix_market(path, kron_sum(path_adj(3), path_adj(3)))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-3]) + "\n")
+    with pytest.raises(ValueError, match="t.mtx"):
+        read_matrix_market(path)
+
+
+def test_matrix_market_rejects_pattern_header(tmp_path):
+    path = tmp_path / "p.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n")
+    with pytest.raises(ValueError, match="p.mtx"):
+        read_matrix_market(path)
+
+
 def test_matrix_market_symmetric_rejects_asymmetric(tmp_path):
     a = SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
