@@ -402,6 +402,8 @@ def read_lineage(directory):
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
+    if manifest["numLevels"] != len(manifest["levelFiles"]):
+        raise ValueError(f"{directory / 'manifest.json'}: numLevels disagrees with levelFiles")
     levels = [Graph(read_matrix_market(directory / f)) for f in manifest["levelFiles"]]
     inter = [read_matrix_market(directory / f) for f in manifest["interFiles"]]
     prolong = None

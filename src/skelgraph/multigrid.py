@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .sparse import SparseMatrix, block_assemble, identity, kron, kron_sum, write_matrix_market
+from .skeletal import _product_levels
+from .sparse import SparseMatrix, kron, kron_sum, write_matrix_market
 
 __all__ = [
     "CycleSpec",
@@ -339,9 +340,11 @@ class RecursiveSkeletal(_GalerkinCycle):
 
 
 class LevelwiseSkeletal(_GalerkinCycle):
-    """Classical multigrid over summed-level systems: the level-L operator is
-    the block diagonal of every factor-level pair (i1, i2) with i1 + i2 = L,
-    transfers move one factor per block and are column-renormalized."""
+    """Classical multigrid over summed-level systems, whose hierarchy is the
+    skeletal box product of the two 1D operator hierarchies: the level-L
+    operator is the block diagonal of every factor-level pair (i1, i2) with
+    i1 + i2 = L, transfers move one factor per block and are
+    column-renormalized."""
 
     # level L-1 repeats the level-L function content across its blocks, so
     # the raw correction overcounts; it is scaled to the energy optimum
@@ -350,37 +353,15 @@ class LevelwiseSkeletal(_GalerkinCycle):
     def __init__(self, problem, cycle=CycleSpec()):
         self.name = "skeletal_levelwise_v" if cycle.gamma == 1 else "skeletal_levelwise_w"
         k = problem.k
-        sizes = [0] + [2 ** i - 1 for i in range(1, k + 1)]
-        ops1, ops2 = problem.factor_ops
-        pro1, pro2 = problem.factor_prolong
-        self.blocks = {
-            level: [
-                (i1, level - i1)
-                for i1 in range(max(1, level - k), min(level - 1, k) + 1)
-            ]
-            for level in range(2, 2 * k + 1)
-        }
-        dims = {L: [sizes[i1] * sizes[i2] for i1, i2 in bl] for L, bl in self.blocks.items()}
-        ops = {}
-        self.transfer = {}
-        children = {2: []}
-        for level, bl in self.blocks.items():
-            diag = {
-                (j, j): kron_sum(ops1[i1 - 1], ops2[i2 - 1])
-                for j, (i1, i2) in enumerate(bl)
-            }
-            ops[level] = block_assemble(diag, dims[level], dims[level])
-        for level in range(3, 2 * k + 1):
-            blocks = {}
-            for fj, (i1, i2) in enumerate(self.blocks[level]):
-                for cj, (j1, j2) in enumerate(self.blocks[level - 1]):
-                    if (j1, j2) == (i1 - 1, i2):
-                        blocks[(fj, cj)] = kron(pro1[i1 - 2], identity(sizes[i2]))
-                    elif (j1, j2) == (i1, i2 - 1):
-                        blocks[(fj, cj)] = kron(identity(sizes[i1]), pro2[i2 - 2])
-            p = block_assemble(blocks, dims[level], dims[level - 1])
-            self.transfer[level] = _renormalize_columns(p)
-            children[level] = [_sparse_child(level - 1, self.transfer[level])]
+        # 1D level i sits at index i - 1, so summed level L comes out at index L - 2
+        levels = _product_levels(problem.factor_ops, problem.factor_prolong, "box", sum, 2 * k - 2)
+        self.blocks, ops, self.transfer, children = {}, {}, {}, {2: []}
+        for L, (codec, a, p) in enumerate(levels, start=2):
+            self.blocks[L] = [tuple(i + 1 for i in lvec) for lvec in codec.blocks]
+            ops[L] = a
+            if p is not None:
+                self.transfer[L] = _renormalize_columns(p)
+                children[L] = [_sparse_child(L - 1, self.transfer[L])]
         super().__init__(problem, cycle, 2 * k, ops, children)
 
 

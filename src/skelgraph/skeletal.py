@@ -8,13 +8,16 @@ entries row-major in (i1, i2).  The same layout is produced by
 :func:`product_via_flat_assembly`, which builds the product a second,
 independent way -- Kronecker products of the flat assembled adjacencies,
 re-gathered by level and truncated -- so the two constructions can be
-compared triplet-for-triplet.
+compared triplet-for-triplet.  The per-level builder behind the products
+is shared with the levelwise multigrid solver, whose hierarchy is the
+skeletal box product of the 1D operator hierarchy with itself.
 
 Truncation contract: a product of factors truncated at L1, L2 is complete
 for output levels below ``meta["partial_from"]``; any emitted level at or
 beyond that horizon would gain further blocks if the factors were deeper,
 and is listed in ``meta["partial_levels"]``.  The default output depth
-stops just short of the horizon.
+stops just short of the horizon; a depth beyond the deepest level any
+block reaches is refused.
 """
 
 from __future__ import annotations
@@ -54,25 +57,6 @@ __all__ = [
 ]
 
 
-def _fetch_inter(gg, row_level, col_level, weights):
-    """Inter-level factor matrix oriented (row_level, col_level).
-
-    The stored map runs coarse-to-fine; asking for the opposite orientation
-    returns its transpose.
-    """
-    if weights == "prolong":
-        if gg.prolong is None:
-            raise ValueError("prolongation weights requested but factor has none")
-        mats = gg.prolong
-    else:
-        mats = gg.inter
-    if row_level == col_level + 1:
-        return mats[col_level]
-    if col_level == row_level + 1:
-        return mats[row_level].transpose()
-    raise ValueError(f"levels {row_level}, {col_level} are not adjacent")
-
-
 def _as_fraction(rho):
     if isinstance(rho, Fraction):
         return rho
@@ -101,109 +85,130 @@ def _partial_horizon(tops, level_of):
     return min(probes)
 
 
-def _assemble_product(ggs, kind, level_of, max_level, weights, meta):
-    """Shared builder for all skeletal products.
+def _check_depth(max_level, deepest):
+    """Refuse an output depth no block reaches: level maps are monotone, so
+    the deepest level any block reaches is that of the factors' top levels."""
+    if not 0 <= max_level <= deepest:
+        raise ValueError(
+            f"output depth {max_level} is outside 0..{deepest}, the levels the factors reach"
+        )
 
+
+def _assemble_product(ggs, kind, level_of, max_level, weights, meta):
+    """Skeletal product of graded graphs: the default output depth stops just
+    short of the partial horizon, ``weights`` selects each factor's
+    inter-level maps, and the graph is named ``meta["kind"]`` of its factors."""
+    tops = tuple(gg.top for gg in ggs)
+    horizon = _partial_horizon(tops, level_of)
+    if max_level is None:
+        # dilation rates above one can put the horizon past the deepest level
+        max_level = min(max(horizon - 1, 0), level_of(tops))
+    _check_depth(max_level, level_of(tops))
+    codecs, mats, inter = zip(*_product_levels(
+        [[g.adj for g in gg.levels] for gg in ggs],
+        [gg.prolong if weights == "prolong" else gg.inter for gg in ggs],
+        kind, level_of, max_level, meta.get("mode"),
+    ))
+    names = ",".join(gg.meta.get("name", "?") for gg in ggs)
+    meta = dict(
+        meta,
+        name=f"{meta['kind']}({names})",
+        codec=codecs,
+        factors=tuple(ggs),
+        partial_from=horizon,
+        partial_levels=[L for L in range(max_level + 1) if L >= horizon],
+    )
+    return GradedGraph([Graph(m) for m in mats], inter[1:], None, meta)
+
+
+def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
+    """Shared builder of the skeletal products and the levelwise multigrid
+    hierarchy, over per-factor lists of level matrices and of coarse-to-fine
+    maps (None for a factor without them).
+
+    Yields, for each output level 0..max_level, its codec, its assembled
+    matrix and the coarse-to-fine map from the level below (None at level 0).
     Edges are enumerated by level-shift class: each factor either stays on
-    its level (adjacency block) or moves one level (inter-level block); a
-    class survives iff the output level changes by at most one.
+    its level (its level matrix, or an identity under the box rule) or moves
+    one level (its map); a class survives iff the output level changes by at
+    most one.  The blocks of one matrix are held at a time, and a level is
+    handed over before the next level's blocks are built, so a caller that
+    keeps a transformed copy of the map never holds all the raw maps.
     """
-    n = len(ggs)
-    tops = [gg.top for gg in ggs]
-    sizes = [gg.level_sizes() for gg in ggs]
+    tops = [len(mats) - 1 for mats in level_mats]
     tables = _block_tables(tops, level_of, max_level)
+    index = [{lvec: b for b, lvec in enumerate(table)} for table in tables]
     codecs = [
         LevelCodec(
             tuple(table),
-            tuple(tuple(sizes[i][lvec[i]] for i in range(n)) for lvec in table),
+            tuple(tuple(mats[l].nrows for mats, l in zip(level_mats, lvec)) for lvec in table),
         )
         for table in tables
     ]
+    n = len(level_mats)
     if kind == "box":
         deltas = [d for d in itertools.product((-1, 0, 1), repeat=n) if sum(map(abs, d)) <= 1]
     else:
         deltas = list(itertools.product((-1, 0, 1), repeat=n))
-        if meta.get("mode") == "hat":
+        if mode == "hat":
             deltas = [d for d in deltas if abs(sum(d)) <= 1]
-        elif meta.get("mode") == "tilde":
+        elif mode == "tilde":
             deltas = [d for d in deltas if _alternating(d)]
-    intra = [dict() for _ in range(max_level + 1)]
-    inter = [dict() for _ in range(max_level)]
-    for level in range(max_level + 1):
-        table = tables[level]
-        index_at = {lvec: b for b, lvec in enumerate(table)}
+
+    def assemble(classes, row_level, col_level):
+        blocks = {key: _class_block(level_mats, maps, kind, *c) for key, c in classes.items()}
+        return block_assemble(blocks, codecs[row_level].sizes, codecs[col_level].sizes)
+
+    for level, table in enumerate(tables):
+        intra, down = {}, {}
         for b, lvec in enumerate(table):
             for d in deltas:
                 cvec = tuple(l - s for l, s in zip(lvec, d))
                 if any(not 0 <= c <= t for c, t in zip(cvec, tops)):
                     continue
                 clevel = level_of(cvec)
-                shift = level - clevel
-                if shift == 0:
-                    target = index_at.get(cvec)
-                    if target is None:
-                        continue
-                    intra[level][(b, target)] = _class_block(ggs, kind, lvec, cvec, d, weights)
-                elif shift == 1 and clevel >= 0:
-                    ctable = tables[clevel]
-                    try:
-                        target = ctable.index(cvec)
-                    except ValueError:
-                        continue
-                    inter[clevel][(b, target)] = _class_block(ggs, kind, lvec, cvec, d, weights)
-                # shift == -1 is the transpose of a stored block; |shift| >= 2 is dropped
-    levels = [
-        Graph(block_assemble(intra[L], codecs[L].sizes, codecs[L].sizes))
-        for L in range(max_level + 1)
-    ]
-    inter_mats = [
-        block_assemble(inter[L], codecs[L + 1].sizes, codecs[L].sizes)
-        for L in range(max_level)
-    ]
-    horizon = _partial_horizon(tops, level_of)
-    full_meta = dict(meta)
-    full_meta.update(
-        {
-            "codec": tuple(codecs),
-            "factors": tuple(ggs),
-            "partial_from": horizon,
-            "partial_levels": [L for L in range(max_level + 1) if L >= horizon],
-        }
-    )
-    return GradedGraph(levels, inter_mats, None, full_meta)
+                # a level rise is the transpose of a block stored one level up;
+                # a change of two or more levels is dropped
+                if clevel == level:
+                    intra[b, index[clevel][cvec]] = (lvec, cvec, d)
+                elif 0 <= clevel == level - 1:
+                    down[b, index[clevel][cvec]] = (lvec, cvec, d)
+        yield (
+            codecs[level],
+            assemble(intra, level, level),
+            assemble(down, level, level - 1) if level else None,
+        )
 
 
-def _class_block(ggs, kind, lvec, cvec, d, weights):
-    moving = [i for i, s in enumerate(d) if s != 0]
-    if kind == "box" and not moving:
-        return kron_sum(ggs[0].levels[lvec[0]].adj, ggs[1].levels[lvec[1]].adj)
+def _class_block(level_mats, maps, kind, lvec, cvec, d):
+    if kind == "box" and not any(d):
+        return kron_sum(level_mats[0][lvec[0]], level_mats[1][lvec[1]])
     factors = []
-    for i, gg in enumerate(ggs):
-        if d[i] == 0:
-            if kind == "box":
-                factors.append(identity(gg.levels[lvec[i]].n))
-            else:
-                factors.append(gg.levels[lvec[i]].adj)
+    for i, mats in enumerate(level_mats):
+        if d[i]:
+            factors.append(_oriented(maps[i], lvec[i], cvec[i]))
+        elif kind == "box":
+            factors.append(identity(mats[lvec[i]].nrows))
         else:
-            factors.append(_fetch_inter(gg, lvec[i], cvec[i], weights))
+            factors.append(mats[lvec[i]])
     out = factors[0]
     for f in factors[1:]:
         out = kron(out, f)
     return out
 
 
+def _oriented(maps, row, col):
+    """A factor's map between adjacent levels, oriented (row, col): the maps
+    run coarse-to-fine, so the fine-to-coarse orientation is a transpose."""
+    if maps is None:
+        raise ValueError("prolongation weights requested but factor has none")
+    return maps[col] if row > col else maps[row].transpose()
+
+
 def _alternating(d):
     """True iff the nonzero entries of d alternate in sign."""
     signs = [s for s in d if s != 0]
     return all(signs[i + 1] == -signs[i] for i in range(len(signs) - 1))
-
-
-def _default_depth(tops, level_of):
-    return _partial_horizon(tops, level_of) - 1
-
-
-def _sum_map(lvec):
-    return sum(lvec)
 
 
 def skeletal_cross(gg1, gg2, max_level=None, weights="pattern"):
@@ -213,12 +218,8 @@ def skeletal_cross(gg1, gg2, max_level=None, weights="pattern"):
     inter-level maps with opposite inter-level maps between blocks whose
     factor levels trade one unit; inter-level edges move exactly one factor.
     """
-    if max_level is None:
-        max_level = _default_depth([gg1.top, gg2.top], _sum_map)
     return _assemble_product(
-        [gg1, gg2], "cross", _sum_map, max_level, weights,
-        {"kind": "cross", "mode": "hat",
-         "name": f"cross({gg1.meta.get('name', '?')},{gg2.meta.get('name', '?')})"},
+        [gg1, gg2], "cross", sum, max_level, weights, {"kind": "cross", "mode": "hat"}
     )
 
 
@@ -226,13 +227,7 @@ def skeletal_box(gg1, gg2, max_level=None, weights="pattern"):
     """Level-sum-graded box product: diagonal blocks are box products of the
     factor level graphs; inter-level maps move one factor and fix the other
     through an identity."""
-    if max_level is None:
-        max_level = _default_depth([gg1.top, gg2.top], _sum_map)
-    return _assemble_product(
-        [gg1, gg2], "box", _sum_map, max_level, weights,
-        {"kind": "box",
-         "name": f"box({gg1.meta.get('name', '?')},{gg2.meta.get('name', '?')})"},
-    )
+    return _assemble_product([gg1, gg2], "box", sum, max_level, weights, {"kind": "box"})
 
 
 def skeletal_strong(gg1, gg2, max_level=None):
@@ -261,12 +256,8 @@ def skeletal_cross_nway(ggs, mode="hat", max_level=None):
         raise ValueError("n-way product needs at least two factors")
     if mode not in ("hat", "tilde"):
         raise ValueError(f"unknown mode {mode!r}")
-    if max_level is None:
-        max_level = _default_depth([gg.top for gg in ggs], _sum_map)
-    names = ",".join(gg.meta.get("name", "?") for gg in ggs)
     return _assemble_product(
-        ggs, "cross", _sum_map, max_level, "pattern",
-        {"kind": f"nway-{mode}", "mode": mode, "name": f"nway-{mode}({names})"},
+        ggs, "cross", sum, max_level, "pattern", {"kind": f"nway-{mode}", "mode": mode}
     )
 
 
@@ -292,14 +283,11 @@ def skeletal_dilated(gg1, gg2, rho1=1, rho2=1, shape=None, kind="box", max_level
             raise ValueError("dilation rates must be positive")
         level_of = lambda lvec: math.ceil(r1 * lvec[0]) + math.ceil(r2 * lvec[1])  # noqa: E731
         rho_note = f"{r1},{r2}"
-    if max_level is None:
-        max_level = max(_default_depth([gg1.top, gg2.top], level_of), 0)
     # no upfront class filter: under a dilated level map, classes moving both
     # factors can still change the output level by at most one and are kept
     return _assemble_product(
         [gg1, gg2], kind, level_of, max_level, "pattern",
-        {"kind": f"dilated-{kind}", "rho": rho_note,
-         "name": f"dilated-{kind}({gg1.meta.get('name', '?')},{gg2.meta.get('name', '?')})"},
+        {"kind": f"dilated-{kind}", "rho": rho_note},
     )
 
 
@@ -338,6 +326,7 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
         raise ValueError(f"unknown kind {kind!r}")
     if max_level is None:
         max_level = min(gg1.top, gg2.top)
+    _check_depth(max_level, gg1.top + gg2.top)
     f1 = assemble_flat(gg1).adj
     f2 = assemble_flat(gg2).adj
     if kind == "cross":

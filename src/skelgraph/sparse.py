@@ -427,11 +427,19 @@ def read_matrix_market(path):
                 vals[i] = float(t[2])
         except (IndexError, ValueError) as exc:
             raise ValueError(f"{path}: truncated or malformed size or entry line") from exc
+        if fh.read().strip():
+            raise ValueError(f"{path}: more entries than the declared {nnz}")
     if symmetric:
+        # the format stores the lower triangle only; an upper entry would be mirrored twice
+        if np.any(rows < cols):
+            raise ValueError(f"{path}: symmetric file stores an entry above the diagonal")
         off = rows != cols
         rows, cols = (
             np.concatenate([rows, cols[off]]),
             np.concatenate([cols, rows[off]]),
         )
         vals = np.concatenate([vals, vals[off]])
-    return SparseMatrix(nrows, ncols, rows, cols, vals)
+    try:
+        return SparseMatrix(nrows, ncols, rows, cols, vals)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

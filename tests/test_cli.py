@@ -111,7 +111,10 @@ def test_validate_flags_corruption(tmp_path):
 @pytest.mark.parametrize("corrupt", [
     lambda text: "\n".join(text.splitlines()[:-2]) + "\n",
     lambda text: text.replace("coordinate real", "coordinate pattern", 1),
-], ids=["truncated", "pattern-header"])
+    lambda text: text.replace("8 8 7\n", "8 8 8\n") + "1 2 1.0\n",
+    lambda text: text + "1 1 1.0\n",
+    lambda text: text.replace("\n8 7 ", "\n9 7 "),
+], ids=["truncated", "pattern-header", "symmetric-upper-entry", "extra-entry", "index-out-of-range"])
 def test_validate_malformed_matrix_is_one_error_line(tmp_path, capsys, corrupt):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "3", "--out", str(src)])
@@ -122,6 +125,41 @@ def test_validate_malformed_matrix_is_one_error_line(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "level_03.mtx" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_validate_manifest_level_count_mismatch_is_one_error_line(tmp_path, capsys):
+    src = tmp_path / "p"
+    main(["gen", "path", "--levels", "3", "--out", str(src)])
+    capsys.readouterr()
+    manifest = json.loads((src / "manifest.json").read_text())
+    manifest["numLevels"] = 3
+    (src / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["validate", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "manifest.json" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--levels", "50"],
+    ["--levels", "50", "--oracle-check"],
+    ["--levels", "-1"],
+    ["--levels", "-1", "--oracle-check"],
+], ids=["deep", "deep-oracle", "negative", "negative-oracle"])
+def test_product_refuses_depth_no_block_reaches(tmp_path, capsys, flags):
+    a, b = tmp_path / "a", tmp_path / "b"
+    main(["gen", "path", "--levels", "3", "--out", str(a)])
+    main(["gen", "complete", "--levels", "3", "--out", str(b)])
+    capsys.readouterr()
+    out = tmp_path / "prod"
+    assert main(["product", "cross", str(a), str(b), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
+    # the deepest level a block reaches stays allowed
+    assert main(["product", "cross", str(a), str(b), "--out", str(out), "--levels", "6",
+                 *flags[2:]]) == 0
+    assert read_lineage(out).level_sizes()[-1] == 64
 
 
 def test_export_formats(tmp_path):

@@ -205,6 +205,48 @@ def test_levelwise_block_structure():
     assert solver.cycle_cost > classical.cycle_cost
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_levelwise_hierarchy_matches_dense_kronecker_reference(k):
+    # every level operator and transfer, rebuilt densely from the 1D factors
+    prob = build_problem(k, 1)
+    solver = LevelwiseSkeletal(prob)
+    a1, a2 = ([a.to_dense() for a in ops] for ops in prob.factor_ops)
+    p1, p2 = ([p.to_dense() for p in pro] for pro in prob.factor_prolong)
+    eye = [np.eye(a.shape[0]) for a in a1]
+    assert sorted(solver.ops) == list(range(2, 2 * k + 1))
+    assert sorted(solver.transfer) == list(range(3, 2 * k + 1))
+    for level, blocks in solver.blocks.items():
+        assert blocks == [(i1, level - i1) for i1 in range(1, k + 1) if 1 <= level - i1 <= k]
+
+    def offsets(level):
+        sizes = [a1[i1 - 1].shape[0] * a2[i2 - 1].shape[0] for i1, i2 in solver.blocks[level]]
+        return np.concatenate([[0], np.cumsum(sizes)])
+
+    for level in range(2, 2 * k + 1):
+        off = offsets(level)
+        want = np.zeros((off[-1], off[-1]))
+        for b, (i1, i2) in enumerate(solver.blocks[level]):
+            want[off[b]:off[b + 1], off[b]:off[b + 1]] = (
+                np.kron(a1[i1 - 1], eye[i2 - 1]) + np.kron(eye[i1 - 1], a2[i2 - 1])
+            )
+        assert np.max(np.abs(solver.ops[level].to_dense() - want)) <= 1e-15
+        if level == 2:
+            continue
+        coff = offsets(level - 1)
+        want = np.zeros((off[-1], coff[-1]))
+        for b, (i1, i2) in enumerate(solver.blocks[level]):
+            for c, (j1, j2) in enumerate(solver.blocks[level - 1]):
+                if (j1, j2) == (i1 - 1, i2):
+                    block = np.kron(p1[i1 - 2], eye[i2 - 1])
+                elif (j1, j2) == (i1, i2 - 1):
+                    block = np.kron(eye[i1 - 1], p2[i2 - 2])
+                else:
+                    continue
+                want[off[b]:off[b + 1], coff[c]:coff[c + 1]] = block
+        want /= np.linalg.norm(want, axis=0)
+        assert np.max(np.abs(solver.transfer[level].to_dense() - want)) <= 1e-15
+
+
 def test_levelwise_transfer_columns_unit_norm():
     prob = build_problem(3, 1)
     solver = LevelwiseSkeletal(prob)

@@ -177,6 +177,29 @@ def test_products_validate_and_flag_partial_levels():
     assert skeletal_cross(gg, gg).meta["partial_levels"] == []
 
 
+def test_products_refuse_depths_no_block_reaches():
+    p, c, u = path_lineage(3), complete_lineage(3), unit_lineage(2)
+    builds = {
+        6: [lambda L: skeletal_cross(p, c, L), lambda L: skeletal_box(p, c, L),
+            lambda L: skeletal_strong(p, c, L),
+            lambda L: skeletal_dilated(u, u, 1, 2, max_level=L),
+            lambda L: product_via_flat_assembly(p, c, "cross", L)],
+        9: [lambda L: skeletal_cross_nway([p, c, p], "hat", L)],
+    }
+    for deepest, makers in builds.items():
+        for make in makers:
+            for bad in (-1, deepest + 1):
+                with pytest.raises(ValueError, match="outside"):
+                    make(bad)
+    # the deepest level itself is built, flagged partial, and matches the oracle
+    for kind, build in (("cross", skeletal_cross), ("box", skeletal_box),
+                        ("strong", skeletal_strong)):
+        prod = build(p, c, 6)
+        assert prod.level_sizes()[-1] == 64
+        assert prod.meta["partial_levels"] == [4, 5, 6]
+        assert prod == product_via_flat_assembly(p, c, kind, 6)
+
+
 def test_commutativity_swap_permutation():
     gg1, gg2 = path_lineage(2), complete_lineage(2)
     for build in (skeletal_box, skeletal_cross):

@@ -272,6 +272,21 @@ def test_matrix_market_rejects_pattern_header(tmp_path):
         read_matrix_market(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n1 2 1.0\n",
+     "symmetric file stores an entry above the diagonal"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 1.0\n2 1 1.0\n",
+     "more entries than the declared 1"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
+     "row index out of range"),
+], ids=["symmetric-upper-entry", "extra-entry", "index-out-of-range"])
+def test_matrix_market_rejects_what_the_format_forbids(tmp_path, text, message):
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"m.mtx: {message}"):
+        read_matrix_market(path)
+
+
 def test_matrix_market_symmetric_rejects_asymmetric(tmp_path):
     a = SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
