@@ -25,7 +25,7 @@ GENERATORS = {
     "path": lin.path_lineage,
     "complete": lin.complete_lineage,
     "grid2d": lin.grid2d_lineage,
-    "nhat": lambda levels: lin.unit_lineage(levels),
+    "nhat": lin.unit_lineage,
 }
 
 
@@ -118,6 +118,9 @@ def _cmd_product(args):
             "error: --oracle-check needs a pattern-weighted box/cross/strong product",
             file=sys.stderr,
         )
+        return USAGE_ERROR
+    if args.weights != "pattern" and args.kind not in ("box", "cross"):
+        print("error: --weights prolong needs a box or cross product", file=sys.stderr)
         return USAGE_ERROR
     if args.kind in binary:
         if len(inputs) != 2:

@@ -430,4 +430,6 @@ def run_benchmark(k, bc, algorithms, budget):
             res = solver.residual(x)
             step += 1
             trace.append(name, step, work, res)
+        # free this solver's grids before the next set-up allocates its own
+        del solver
     return trace

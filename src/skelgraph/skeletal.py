@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph
-from .lineage import GradedGraph, LevelCodec, assemble_flat, codec_of, truncate
+from .lineage import GradedGraph, LevelCodec, assemble_flat, truncate
 from .sparse import (
     Permutation,
     SparseMatrix,
@@ -316,11 +316,11 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
 
     Takes the plain Kronecker product (cross), Kronecker sum (box), or
     their support union (strong) of the two flat assembled adjacencies,
-    permutes rows and columns to gather vertices of equal summed level,
-    deletes every entry whose summed level changes by two or more, and
-    slices the result back into a graded graph.  No per-block formula is
-    involved, so agreement with the skeletal constructors is evidence for
-    both.
+    drops every entry that changes the summed level by two or more or leaves
+    the output depth, relabels the kept entries so that one stable sort of
+    the vertex levels gathers equal summed levels, and slices the result
+    back into a graded graph.  No codec or per-block formula is involved,
+    so agreement with the skeletal constructors is evidence for both.
     """
     if kind not in ("cross", "box", "strong"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -335,30 +335,19 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
         big = kron_sum(f1, f2)
     else:
         big = support_union(kron_sum(f1, f2), kron(f1, f2))
-    c1, c2 = codec_of(gg1), codec_of(gg2)
-    off1, off2 = c1.offsets, c2.offsets
-    n2_total = f2.nrows
-    order = []
-    level_sizes = []
-    for level in range(gg1.top + gg2.top + 1):
-        total = 0
-        for l1 in range(max(0, level - gg2.top), min(level, gg1.top) + 1):
-            l2 = level - l1
-            n1, n2 = c1.sizes[l1], c2.sizes[l2]
-            ids = (off1[l1] + np.arange(n1))[:, None] * n2_total + (off2[l2] + np.arange(n2))
-            order.append(ids.ravel())
-            total += n1 * n2
-        level_sizes.append(total)
-    order = np.concatenate(order)
-    forward = np.empty(order.size, dtype=np.int64)
-    forward[order] = np.arange(order.size)
-    gathered = permute(big, Permutation(forward))
-    level_of_vertex = np.repeat(np.arange(len(level_sizes)), level_sizes)
-    keep = np.abs(level_of_vertex[gathered.rows] - level_of_vertex[gathered.cols]) <= 1
-    gathered = SparseMatrix(
-        gathered.nrows, gathered.ncols,
-        gathered.rows[keep], gathered.cols[keep], gathered.vals[keep],
-    )
+    tags = [np.repeat(np.arange(gg.num_levels), gg.level_sizes()) for gg in (gg1, gg2)]
+    # kron pairs (i1, i2) as i1 * |V2| + i2, the vertex's index in big
+    level = np.add.outer(*tags).ravel()
+    # a stable sort by summed level lists each level's blocks by l1
+    # ascending, row-major inside a block: the skeletal layout
+    forward = np.empty(level.size, dtype=np.int64)
+    forward[np.argsort(level, kind="stable")] = np.arange(level.size)
+    row_level, col_level = level[big.rows], level[big.cols]
+    keep = (np.abs(row_level - col_level) <= 1) & (np.maximum(row_level, col_level) <= max_level)
+    kept = SparseMatrix(big.nrows, big.ncols, big.rows[keep], big.cols[keep], big.vals[keep])
+    gathered = permute(kept, Permutation(forward))
+    # minlength keeps the slot of a level no vertex lies on (an empty top level)
+    level_sizes = np.bincount(level, minlength=gg1.num_levels + gg2.num_levels - 1)
     offsets = np.concatenate([[0], np.cumsum(level_sizes)]).astype(np.int64)
     levels = [
         Graph(submatrix(gathered, offsets[L], offsets[L + 1], offsets[L], offsets[L + 1]))

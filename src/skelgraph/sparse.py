@@ -111,12 +111,6 @@ class SparseMatrix:
             and np.array_equal(self.vals, other.vals)
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 

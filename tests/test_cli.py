@@ -162,6 +162,20 @@ def test_product_refuses_depth_no_block_reaches(tmp_path, capsys, flags):
     assert read_lineage(out).level_sizes()[-1] == 64
 
 
+@pytest.mark.parametrize("kind", ["strong", "nway-hat", "nway-tilde", "dilated"])
+def test_product_refuses_prolong_weights_it_cannot_apply(tmp_path, capsys, kind):
+    a, b = tmp_path / "a", tmp_path / "b"
+    main(["gen", "path", "--levels", "3", "--out", str(a)])
+    main(["gen", "complete", "--levels", "3", "--out", str(b)])
+    capsys.readouterr()
+    out = tmp_path / "prod"
+    assert main(["product", kind, str(a), str(b), "--out", str(out),
+                 "--weights", "prolong"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_export_formats(tmp_path):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "2", "--out", str(src)])

@@ -1,8 +1,11 @@
 """Dirichlet problems, smoothing, and the three multigrid solvers."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from skelgraph import multigrid
 from skelgraph.multigrid import (
     ALGORITHMS,
     ClassicalMultigrid,
@@ -338,3 +341,17 @@ def test_export_problem(tmp_path):
     assert read_matrix_market(tmp_path / "A.mtx") == prob.A
     values = [float(line) for line in (tmp_path / "b.txt").read_text().splitlines()]
     assert np.array_equal(values, prob.b)
+
+
+def test_benchmark_releases_each_solver_before_the_next(monkeypatch):
+    build, made = multigrid.make_solver, []
+
+    def tracked(name, problem):
+        assert all(ref() is None for ref in made), "previous solver still alive"
+        solver = build(name, problem)
+        made.append(weakref.ref(solver))
+        return solver
+
+    monkeypatch.setattr(multigrid, "make_solver", tracked)
+    run_benchmark(3, 1, sorted(ALGORITHMS), 1e4)
+    assert len(made) == len(ALGORITHMS)

@@ -5,6 +5,7 @@ import pytest
 
 from skelgraph.graphs import Graph
 from skelgraph.lineage import (
+    GradedGraph,
     assemble_flat,
     complete_lineage,
     grid2d_lineage,
@@ -413,3 +414,27 @@ def test_flat_assembly_oracle_on_mixed_factors():
     gg1 = grid2d_lineage(2)
     gg2 = complete_lineage(2)
     assert skeletal_strong(gg1, gg2) == product_via_flat_assembly(gg1, gg2, "strong")
+
+
+def test_flat_assembly_oracle_on_weighted_unequal_factors_at_every_depth():
+    rng = np.random.default_rng(7)
+    path = path_lineage(3)
+    levels = []
+    for g in path.levels:
+        w = rng.uniform(0.5, 2.0, (g.n, g.n))
+        levels.append(Graph(SparseMatrix.from_dense(g.adj.to_dense() * (w + w.T))))
+    inter = [SparseMatrix.from_dense(s.to_dense() * rng.uniform(0.5, 2.0, s.shape))
+             for s in path.inter]
+    weighted = GradedGraph(levels, inter, None, {"name": "weighted-path"})
+    # an empty top level: no product vertex carries the deepest summed level
+    comp = complete_lineage(2)
+    topped = GradedGraph(
+        [*comp.levels, Graph(SparseMatrix(0, 0))],
+        [*comp.inter, SparseMatrix(0, comp.levels[-1].n)],
+        None, {"name": "topped-complete"},
+    )
+    for gg1, gg2 in ((weighted, topped), (topped, weighted)):
+        for L in range(gg1.top + gg2.top + 1):
+            for kind, build in (("cross", skeletal_cross), ("box", skeletal_box),
+                                ("strong", skeletal_strong)):
+                assert build(gg1, gg2, L) == product_via_flat_assembly(gg1, gg2, kind, L)
