@@ -224,7 +224,8 @@ def validate(gg):
                     f"prolongation {l}->{l + 1} has shape {p.shape}, expected {want}"
                 )
                 continue
-            if not support_subset(p, gg.inter[l]):
+            # an inter map of the wrong shape is reported above, not compared
+            if gg.inter[l].shape == want and not support_subset(p, gg.inter[l]):
                 issues.append(
                     f"prolongation {l}->{l + 1} has entries outside the sparsity pattern"
                 )
@@ -400,10 +401,17 @@ def write_lineage(directory, gg, name=None):
 
 def read_lineage(directory):
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
+    where = directory / "manifest.json"
+    with open(where) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("metadata", {}), dict):
+        raise ValueError(f"{where}: the manifest and its metadata must be JSON objects")
+    for key in ("levelFiles", "interFiles", "prolongFiles"):
+        names = manifest.get(key)
+        if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
+            raise ValueError(f"{where}: {key} must be a list of file names")
     if manifest["numLevels"] != len(manifest["levelFiles"]):
-        raise ValueError(f"{directory / 'manifest.json'}: numLevels disagrees with levelFiles")
+        raise ValueError(f"{where}: numLevels disagrees with levelFiles")
     levels = [Graph(read_matrix_market(directory / f)) for f in manifest["levelFiles"]]
     inter = [read_matrix_market(directory / f) for f in manifest["interFiles"]]
     prolong = None

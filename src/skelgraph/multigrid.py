@@ -277,7 +277,7 @@ class GaussSeidelIteration(_GalerkinCycle):
 
     name = "gauss_seidel"
 
-    def __init__(self, problem, cycle=None):
+    def __init__(self, problem):
         super().__init__(problem, CycleSpec(), 0, {0: problem.A}, {0: []})
 
 

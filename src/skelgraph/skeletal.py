@@ -37,6 +37,7 @@ from .sparse import (
     identity,
     kron,
     kron_sum,
+    pattern,
     permute,
     submatrix,
     support_union,
@@ -60,8 +61,6 @@ __all__ = [
 def _as_fraction(rho):
     if isinstance(rho, Fraction):
         return rho
-    if isinstance(rho, int):
-        return Fraction(rho)
     return Fraction(rho).limit_denominator(10 ** 6)
 
 
@@ -145,15 +144,13 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
         )
         for table in tables
     ]
-    n = len(level_mats)
+    deltas = list(itertools.product((-1, 0, 1), repeat=len(level_mats)))
     if kind == "box":
-        deltas = [d for d in itertools.product((-1, 0, 1), repeat=n) if sum(map(abs, d)) <= 1]
-    else:
-        deltas = list(itertools.product((-1, 0, 1), repeat=n))
-        if mode == "hat":
-            deltas = [d for d in deltas if abs(sum(d)) <= 1]
-        elif mode == "tilde":
-            deltas = [d for d in deltas if _alternating(d)]
+        deltas = [d for d in deltas if sum(map(abs, d)) <= 1]
+    elif mode == "hat":
+        deltas = [d for d in deltas if abs(sum(d)) <= 1]
+    elif mode == "tilde":
+        deltas = [d for d in deltas if _alternating(d)]
 
     def assemble(classes, row_level, col_level):
         blocks = {key: _class_block(level_mats, maps, kind, *c) for key, c in classes.items()}
@@ -181,6 +178,11 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
 
 
 def _class_block(level_mats, maps, kind, lvec, cvec, d):
+    if kind == "strong":
+        cross = _class_block(level_mats, maps, "cross", lvec, cvec, d)
+        if sum(map(abs, d)) <= 1:
+            return support_union(cross, _class_block(level_mats, maps, "box", lvec, cvec, d))
+        return pattern(cross)
     if kind == "box" and not any(d):
         return kron_sum(level_mats[0][lvec[0]], level_mats[1][lvec[1]])
     factors = []
@@ -231,17 +233,10 @@ def skeletal_box(gg1, gg2, max_level=None, weights="pattern"):
 
 
 def skeletal_strong(gg1, gg2, max_level=None):
-    """0/1 union of the skeletal box and cross products."""
-    b = skeletal_box(gg1, gg2, max_level)
-    c = skeletal_cross(gg1, gg2, max_level)
-    levels = [
-        Graph(support_union(gb.adj, gc.adj)) for gb, gc in zip(b.levels, c.levels)
-    ]
-    inter = [support_union(sb, sc) for sb, sc in zip(b.inter, c.inter)]
-    meta = dict(b.meta)
-    meta["kind"] = "strong"
-    meta["name"] = f"strong({gg1.meta.get('name', '?')},{gg2.meta.get('name', '?')})"
-    return GradedGraph(levels, inter, None, meta)
+    """0/1 union of the skeletal box and cross products, built block by
+    block: each level-shift class gives the 0/1 union of its cross block and,
+    when at most one factor moves, its box block."""
+    return _assemble_product([gg1, gg2], "strong", sum, max_level, "pattern", {"kind": "strong"})
 
 
 def skeletal_cross_nway(ggs, mode="hat", max_level=None):

@@ -9,6 +9,7 @@ are float64 throughout; structural comparisons never involve a tolerance.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,8 +186,6 @@ class SparseMatrix:
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in matmul: {self.shape} @ {other.shape}")
-        if self.nnz == 0 or other.nnz == 0:
-            return SparseMatrix(self.nrows, other.ncols)
         # expand every left entry against the matching row segment of `other`
         indptr, _, _ = other.csr()
         starts = indptr[self.cols]
@@ -220,8 +219,6 @@ def zeros(nrows, ncols):
 
 def kron(a, b):
     """Kronecker product; index pairing (i, p) -> i * b.nrows + p."""
-    if a.nnz == 0 or b.nnz == 0:
-        return SparseMatrix(a.nrows * b.nrows, a.ncols * b.ncols)
     br = np.tile(b.rows, a.nnz)
     bc = np.tile(b.cols, a.nnz)
     bv = np.tile(b.vals, a.nnz)
@@ -379,25 +376,27 @@ def write_matrix_market(path, m, symmetric=False):
     With symmetric=True only the lower triangle (row >= col) is stored;
     the matrix must actually be symmetric.
     """
-    lines = []
+    r, c, v = m.rows, m.cols, m.vals
     if symmetric:
         if not m.is_symmetric():
             raise ValueError("symmetric write requested for a non-symmetric matrix")
-        keep = m.rows >= m.cols
-        r, c, v = m.rows[keep], m.cols[keep], m.vals[keep]
-        lines.append("%%MatrixMarket matrix coordinate real symmetric")
-    else:
-        r, c, v = m.rows, m.cols, m.vals
-        lines.append("%%MatrixMarket matrix coordinate real general")
-    lines.append(f"{m.nrows} {m.ncols} {r.size}")
-    for i in range(r.size):
-        lines.append(f"{r[i] + 1} {c[i] + 1} {float(v[i])!r}")
+        keep = r >= c
+        r, c, v = r[keep], c[keep], v[keep]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"%%MatrixMarket matrix coordinate real {'symmetric' if symmetric else 'general'}\n")
+        fh.write(f"{m.nrows} {m.ncols} {r.size}\n")
+        # repr of a Python float is the shortest string that reads back exactly
+        entries = zip((r + 1).tolist(), (c + 1).tolist(), v.tolist())
+        fh.write("".join(f"{i} {j} {x!r}\n" for i, j, x in entries))
 
 
 def read_matrix_market(path):
-    """Read a coordinate real Matrix Market file written by this package."""
+    """Read a coordinate Matrix Market file written by this package.
+
+    Accepted subset: coordinate real/integer, general/symmetric (lower
+    triangle stored), ``%`` comments after the header, then exactly ``nnz``
+    entry lines of three tokens (row, column, value).
+    """
     with open(path) as fh:
         header = fh.readline().strip().split()
         if len(header) < 5 or header[0] != "%%MatrixMarket" or header[2] != "coordinate":
@@ -408,21 +407,18 @@ def read_matrix_market(path):
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
-        # one handler around the whole loop: a check per line would slow every read
         try:
             nrows, ncols, nnz = (int(t) for t in line.split())
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            vals = np.empty(nnz)
-            for i in range(nnz):
-                t = fh.readline().split()
-                rows[i] = int(t[0]) - 1
-                cols[i] = int(t[1]) - 1
-                vals[i] = float(t[2])
-        except (IndexError, ValueError) as exc:
+            with warnings.catch_warnings():
+                # no entry line makes loadtxt warn; the count check below reports it
+                warnings.simplefilter("ignore", UserWarning)
+                rows, cols, vals = np.loadtxt(fh, "i8,i8,f8", comments=None, ndmin=1, unpack=True)
+        except ValueError as exc:
             raise ValueError(f"{path}: truncated or malformed size or entry line") from exc
-        if fh.read().strip():
-            raise ValueError(f"{path}: more entries than the declared {nnz}")
+    if nnz < 0 or vals.size < nnz:
+        raise ValueError(f"{path}: truncated or malformed size or entry line")
+    if vals.size > nnz:
+        raise ValueError(f"{path}: more entries than the declared {nnz}")
     if symmetric:
         # the format stores the lower triangle only; an upper entry would be mirrored twice
         if np.any(rows < cols):
@@ -434,6 +430,7 @@ def read_matrix_market(path):
         )
         vals = np.concatenate([vals, vals[off]])
     try:
-        return SparseMatrix(nrows, ncols, rows, cols, vals)
+        # indices on disk are 1-based
+        return SparseMatrix(nrows, ncols, rows - 1, cols - 1, vals)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -140,6 +140,41 @@ def test_validate_manifest_level_count_mismatch_is_one_error_line(tmp_path, caps
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "product"])
+@pytest.mark.parametrize("corrupt", [
+    lambda manifest: [manifest],
+    lambda manifest: dict(manifest, levelFiles=None),
+    lambda manifest: dict(manifest, interFiles=[1, 2]),
+    lambda manifest: dict(manifest, metadata=5),
+], ids=["list", "null-level-files", "non-string-file-names", "scalar-metadata"])
+def test_malformed_manifest_is_one_error_line(tmp_path, capsys, corrupt, command):
+    src = tmp_path / "p"
+    main(["gen", "path", "--levels", "2", "--out", str(src)])
+    capsys.readouterr()
+    manifest = json.loads((src / "manifest.json").read_text())
+    (src / "manifest.json").write_text(json.dumps(corrupt(manifest)))
+    argv = {
+        "validate": ["validate", str(src)],
+        "product": ["product", "box", str(src), str(src), "--out", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "manifest.json" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_validate_reports_inter_map_of_wrong_shape(tmp_path, capsys):
+    src = tmp_path / "p"
+    main(["gen", "path", "--levels", "2", "--out", str(src)])
+    capsys.readouterr()
+    manifest = json.loads((src / "manifest.json").read_text())
+    manifest["interFiles"].reverse()
+    (src / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["validate", str(src)]) == 2
+    out = capsys.readouterr().out
+    assert "inter map 0->1 has shape" in out
+
+
 @pytest.mark.parametrize("flags", [
     ["--levels", "50"],
     ["--levels", "50", "--oracle-check"],

@@ -256,6 +256,41 @@ def test_matrix_market_round_trip_symmetric(tmp_path):
     assert read_matrix_market(path) == a
 
 
+def old_matrix_market_text(m, symmetric):
+    """The text of the earlier per-entry writer, kept as the byte reference."""
+    lines = []
+    if symmetric:
+        keep = m.rows >= m.cols
+        r, c, v = m.rows[keep], m.cols[keep], m.vals[keep]
+        lines.append("%%MatrixMarket matrix coordinate real symmetric")
+    else:
+        r, c, v = m.rows, m.cols, m.vals
+        lines.append("%%MatrixMarket matrix coordinate real general")
+    lines.append(f"{m.nrows} {m.ncols} {r.size}")
+    for i in range(r.size):
+        lines.append(f"{r[i] + 1} {c[i] + 1} {float(v[i])!r}")
+    return "\n".join(lines) + "\n"
+
+
+AWKWARD = [0.1 + 0.2, np.nextafter(1.0, 2.0), 5e-324, 1e308, -2.5e-7, 3.0, -1.0, 1e16]
+# eight strictly lower positions of a 5x5 matrix, mirrored without overlap
+LOWER_R, LOWER_C = [1, 2, 2, 3, 3, 3, 4, 4], [0, 0, 1, 0, 1, 2, 0, 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, symmetric", [
+    (SparseMatrix(2, 5, [0, 0, 0, 1, 1, 1, 1, 1], [0, 1, 2, 0, 1, 2, 3, 4], AWKWARD), False),
+    (SparseMatrix(5, 5, LOWER_R + LOWER_C, LOWER_C + LOWER_R, AWKWARD * 2), True),
+    (SparseMatrix(3, 3), False),
+    (SparseMatrix(3, 3), True),
+], ids=["awkward-general", "awkward-symmetric", "empty-general", "empty-symmetric"])
+def test_matrix_market_text_matches_per_entry_writer(tmp_path, m, symmetric):
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, m, symmetric=symmetric)
+    assert path.read_text() == old_matrix_market_text(m, symmetric)
+    assert read_matrix_market(path) == m
+
+
 def test_matrix_market_rejects_truncated_file(tmp_path):
     path = tmp_path / "t.mtx"
     write_matrix_market(path, kron_sum(path_adj(3), path_adj(3)))
@@ -279,7 +314,18 @@ def test_matrix_market_rejects_pattern_header(tmp_path):
      "more entries than the declared 1"),
     ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
      "row index out of range"),
-], ids=["symmetric-upper-entry", "extra-entry", "index-out-of-range"])
+    ("%%MatrixMarket matrix coordinate real general\n2 2 0\n1 2 1.0\n",
+     "more entries than the declared 0"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n",
+     "truncated or malformed size or entry line"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 1.0 4\n",
+     "truncated or malformed size or entry line"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 2 1.0\n",
+     "truncated or malformed size or entry line"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1e30 2 1.0\n",
+     "truncated or malformed size or entry line"),
+], ids=["symmetric-upper-entry", "extra-entry", "index-out-of-range", "extra-entry-after-none",
+        "no-entry-line", "four-tokens", "fractional-index", "huge-index"])
 def test_matrix_market_rejects_what_the_format_forbids(tmp_path, text, message):
     path = tmp_path / "m.mtx"
     path.write_text(text)
