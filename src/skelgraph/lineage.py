@@ -403,15 +403,22 @@ def read_lineage(directory):
     directory = Path(directory)
     where = directory / "manifest.json"
     with open(where) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{where}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("metadata", {}), dict):
         raise ValueError(f"{where}: the manifest and its metadata must be JSON objects")
     for key in ("levelFiles", "interFiles", "prolongFiles"):
         names = manifest.get(key)
         if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
             raise ValueError(f"{where}: {key} must be a list of file names")
-    if manifest["numLevels"] != len(manifest["levelFiles"]):
-        raise ValueError(f"{where}: numLevels disagrees with levelFiles")
+    if manifest.get("numLevels") != len(manifest["levelFiles"]):
+        raise ValueError(f"{where}: numLevels is missing or disagrees with levelFiles")
+    if len(manifest["interFiles"]) != max(len(manifest["levelFiles"]) - 1, 0):
+        raise ValueError(f"{where}: interFiles must name one map per consecutive level pair")
+    if manifest["prolongFiles"] and len(manifest["prolongFiles"]) != len(manifest["interFiles"]):
+        raise ValueError(f"{where}: prolongFiles must be empty or parallel interFiles")
     levels = [Graph(read_matrix_market(directory / f)) for f in manifest["levelFiles"]]
     inter = [read_matrix_market(directory / f) for f in manifest["interFiles"]]
     prolong = None

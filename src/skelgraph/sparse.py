@@ -41,7 +41,9 @@ class SparseMatrix:
     triplet equality.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "_csr_cache")
+    # _sweep_cache holds the Gauss-Seidel schedule that multigrid.gauss_seidel
+    # builds on its first call for this matrix
+    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "_csr_cache", "_sweep_cache")
 
     def __init__(self, nrows, ncols, rows=(), cols=(), vals=()):
         if nrows < 0 or ncols < 0:
@@ -72,6 +74,7 @@ class SparseMatrix:
         for a in (rows, cols, vals):
             a.flags.writeable = False
         self._csr_cache = None
+        self._sweep_cache = None
 
     # -- constructors -------------------------------------------------
 

@@ -146,13 +146,20 @@ def test_validate_manifest_level_count_mismatch_is_one_error_line(tmp_path, caps
     lambda manifest: dict(manifest, levelFiles=None),
     lambda manifest: dict(manifest, interFiles=[1, 2]),
     lambda manifest: dict(manifest, metadata=5),
-], ids=["list", "null-level-files", "non-string-file-names", "scalar-metadata"])
+    lambda manifest: json.dumps(manifest).replace('"', "'"),
+    lambda manifest: {k: v for k, v in manifest.items() if k != "numLevels"},
+    lambda manifest: dict(manifest, interFiles=manifest["interFiles"][:-1]),
+    lambda manifest: dict(manifest, prolongFiles=manifest["prolongFiles"][:-1]),
+], ids=["list", "null-level-files", "non-string-file-names", "scalar-metadata", "invalid-json",
+        "missing-num-levels", "inter-files-short", "prolong-files-short"])
 def test_malformed_manifest_is_one_error_line(tmp_path, capsys, corrupt, command):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "2", "--out", str(src)])
     capsys.readouterr()
     manifest = json.loads((src / "manifest.json").read_text())
-    (src / "manifest.json").write_text(json.dumps(corrupt(manifest)))
+    corrupted = corrupt(manifest)  # a str is written as it is
+    (src / "manifest.json").write_text(
+        corrupted if isinstance(corrupted, str) else json.dumps(corrupted))
     argv = {
         "validate": ["validate", str(src)],
         "product": ["product", "box", str(src), str(src), "--out", str(tmp_path / "out")],

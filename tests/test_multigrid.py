@@ -126,6 +126,79 @@ def test_gauss_seidel_rejects_zero_diagonal():
                      np.zeros(2), np.ones(2), 1)
 
 
+def test_gauss_seidel_rejects_mismatched_lengths():
+    cases = [
+        (identity(3), np.zeros(2), np.ones(3)),
+        (identity(3), np.zeros(3), np.ones(4)),
+        (build_problem(2, 1).A, np.zeros(5), np.ones(9)),
+        (build_problem(2, 1).A, np.zeros(9), np.ones(5)),
+    ]
+    for a, x, b in cases:
+        with pytest.raises(ValueError, match="incompatible"):
+            gauss_seidel(a, x, b, 1)
+
+
+def _row_loop_gauss_seidel(a, x, b, sweeps):
+    """The row-by-row forward sweep, the byte reference for gauss_seidel."""
+    diag = a.diagonal()
+    indptr, indices, data = a.csr()
+    x = np.array(x, dtype=np.float64)
+    for _ in range(sweeps):
+        for i in range(x.size):
+            lo, hi = indptr[i], indptr[i + 1]
+            x[i] += (b[i] - data[lo:hi] @ x[indices[lo:hi]]) / diag[i]
+    return x
+
+
+def _solver_operators():
+    """Every operator the five cycle solvers build at k=2..6, bc 1 and 2."""
+    for k in range(2, 7):
+        for bc in (1, 2):
+            problem = build_problem(k, bc)
+            for name in ALGORITHMS:
+                if name != "gauss_seidel":
+                    ops = make_solver(name, problem).ops
+                    yield from (a for a in (ops.values() if isinstance(ops, dict) else ops)
+                                if a is not None)
+
+
+def _random_operators(rng):
+    """Square matrices of non-symmetric pattern with a nonzero diagonal,
+    a diagonal-only matrix, a 1x1 and a 0x0 matrix."""
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 4 * n))
+        r, c = rng.integers(0, n, m), rng.integers(0, n, m)
+        a = SparseMatrix(n, n, np.r_[r, np.arange(n)], np.r_[c, np.arange(n)],
+                         np.r_[rng.standard_normal(m), rng.uniform(1.0, 3.0, n)])
+        if np.all(a.diagonal() != 0.0):
+            yield a
+    yield SparseMatrix(5, 5, np.arange(5), np.arange(5), rng.uniform(1.0, 3.0, 5))
+    yield SparseMatrix(1, 1, [0], [0], [-3.0])
+    yield SparseMatrix(0, 0)
+
+
+def test_wavefront_gauss_seidel_matches_row_loop():
+    rng = np.random.default_rng(7)
+    shapes = set()
+    for t, a in enumerate([*_solver_operators(), *_random_operators(rng)]):
+        shapes.add(a.shape)
+        x, b = rng.standard_normal(a.nrows), rng.standard_normal(a.nrows)
+        x0, b0 = x.copy(), b.copy()
+        sweeps = 1 + t % 3
+        got = gauss_seidel(a, x, b, sweeps)
+        assert got.tobytes() == _row_loop_gauss_seidel(a, x, b, sweeps).tobytes()
+        assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
+        # a second call reuses the cached schedule
+        assert gauss_seidel(a, x, b, sweeps).tobytes() == got.tobytes()
+    # recursive W's 1-row and 3-row grids are among them
+    assert {(1, 1), (3, 3)} <= shapes
+    singular = SparseMatrix.from_entries(3, 3, [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (2, 2, 1.0)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nonzero diagonal"):
+            gauss_seidel(singular, np.zeros(3), np.ones(3), 1)
+
+
 def test_classical_cycle_reduces_residual_by_factor_two():
     prob = build_problem(2, 1)
     solver = ClassicalMultigrid(prob)

@@ -1,0 +1,107 @@
+"""Print one ``sha256 name`` line for every output of a fixed set of runs.
+
+    python tools/output_digest.py [SRC]
+
+imports skelgraph from SRC (default: this tree's ``src``), runs the CLI and
+``run_benchmark`` into a temporary directory and hashes every file they
+write.  Running it once with this tree's ``src`` and once with the ``src``
+of a ``git clone`` of another commit, then diffing the two listings, checks
+that the two commits write byte-identical outputs.  The bytes depend on how
+the BLAS library rounds, so compare only runs on one machine.
+
+The runs:
+
+- ``gen`` with all four generators;
+- ``product cross|box|strong`` on three factor pairs at the default depth,
+  at ``--levels 3`` and with ``--oracle-check``, and box and cross with
+  ``--weights prolong``;
+- ``product nway-hat|nway-tilde`` on three factors, ``product dilated`` at
+  two rate/kind pairs, ``thicken`` and ``cnn-structure``;
+- the ``run_benchmark`` CSV of all six algorithms at k = 2..5, bc 1 and 2,
+  with the recursive W-cycle at k = 5 in its own file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+GENERATORS = {"path": 4, "complete": 3, "grid2d": 3, "nhat": 3}
+PAIRS = [("path", "complete"), ("complete", "grid2d"), ("nhat", "path")]
+BUDGET_PER_NNZ = 1000  # work budget of each run_benchmark call, per nonzero of A
+
+
+def _cli(main, *argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        sys.exit(f"error: skelgraph {' '.join(argv)} exited {code}")
+
+
+def write_outputs(out):
+    from skelgraph.cli import main
+    from skelgraph.multigrid import ALGORITHMS, build_problem, run_benchmark
+
+    lin = out / "lineages"
+    for name, levels in GENERATORS.items():
+        _cli(main, "gen", name, "--levels", str(levels), "--out", str(lin / name))
+    prod = out / "products"
+    for f1, f2 in PAIRS:
+        inputs = [str(lin / f1), str(lin / f2)]
+        for kind in ("cross", "box", "strong"):
+            stem = f"{kind}_{f1}_{f2}"
+            _cli(main, "product", kind, *inputs, "--out", str(prod / stem))
+            _cli(main, "product", kind, *inputs, "--levels", "3", "--out", str(prod / f"{stem}_L3"))
+            _cli(main, "product", kind, *inputs, "--oracle-check",
+                 "--out", str(prod / f"{stem}_oracle"))
+        for kind in ("cross", "box"):
+            _cli(main, "product", kind, *inputs, "--weights", "prolong",
+                 "--out", str(prod / f"{kind}_{f1}_{f2}_prolong"))
+    three = [str(lin / name) for name in ("path", "complete", "nhat")]
+    for kind in ("nway-hat", "nway-tilde"):
+        _cli(main, "product", kind, *three, "--out", str(prod / kind))
+    pair = [str(lin / "path"), str(lin / "complete")]
+    _cli(main, "product", "dilated", *pair, "--out", str(prod / "dilated"))
+    _cli(main, "product", "dilated", *pair, "--rho", "2", "1", "--dilated-kind", "cross",
+         "--out", str(prod / "dilated_cross_rho21"))
+    for name in ("path", "grid2d"):
+        _cli(main, "thicken", str(lin / name), "--out", str(out / "thicken" / name))
+    _cli(main, "cnn-structure", "--grid-levels", "2", "--feature-levels", "2",
+         "--out", str(out / "cnn-structure"))
+
+    bench = out / "bench"
+    bench.mkdir()
+    for k in range(2, 6):
+        for bc in (1, 2):
+            budget = BUDGET_PER_NNZ * build_problem(k, bc).A.nnz
+            runs = {"": sorted(ALGORITHMS)}
+            if k == 5:  # its k=5 cycles are long, so it gets its own file
+                runs = {"": sorted(set(ALGORITHMS) - {"skeletal_recursive_w"}),
+                        "_skeletal_recursive_w": ["skeletal_recursive_w"]}
+            for suffix, algorithms in runs.items():
+                trace = run_benchmark(k, bc, algorithms, budget)
+                (bench / f"k{k}_bc{bc}{suffix}.csv").write_text(trace.to_csv())
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1:
+        sys.exit(__doc__.split("\n\n")[1])
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+    if not (src / "skelgraph").is_dir():
+        sys.exit(f"error: no skelgraph package under {src}")
+    sys.path.insert(0, str(src.resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_outputs(out)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest} {path.relative_to(out).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()
