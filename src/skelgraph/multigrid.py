@@ -456,12 +456,17 @@ def _energy_optimal_combination(a, r, corrections):
     if not corrections:
         return 0.0
     applied = [a @ d for d in corrections]
-    gram = np.array([[di @ adj for adj in applied] for di in corrections])
-    rhs = np.array([d @ r for d in corrections])
-    try:
-        alpha = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        alpha = np.full(len(corrections), 1.0 / len(corrections))
+    if len(corrections) == 1:
+        # the 1x1 system in closed form; LAPACK's solve rounds it the same way
+        g = corrections[0] @ applied[0]
+        alpha = [(corrections[0] @ r) / g if g != 0.0 else 1.0]
+    else:
+        gram = np.array([[di @ adj for adj in applied] for di in corrections])
+        rhs = np.array([d @ r for d in corrections])
+        try:
+            alpha = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            alpha = np.full(len(corrections), 1.0 / len(corrections))
     out = np.zeros_like(corrections[0])
     for coeff, d in zip(alpha, corrections):
         out += coeff * d

@@ -59,6 +59,19 @@ def test_product_with_oracle_check(tmp_path):
     assert read_lineage(out).level_sizes() == [1, 4, 12, 32]
 
 
+def test_oracle_check_where_the_full_kronecker_product_did_not_fit(tmp_path, capsys):
+    # the unpruned oracle needed 2.8 GB for the L=7 cross product alone
+    a, b = tmp_path / "p", tmp_path / "c"
+    main(["gen", "path", "--levels", "7", "--out", str(a)])
+    main(["gen", "complete", "--levels", "7", "--out", str(b)])
+    for kind in ("cross", "box", "strong"):
+        capsys.readouterr()
+        code = main(["product", kind, str(a), str(b), "--out", str(tmp_path / kind),
+                     "--oracle-check"])
+        assert code == 0
+        assert "oracle check passed" in capsys.readouterr().out
+
+
 def test_product_dilated_metadata(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["gen", "nhat", "--levels", "4", "--out", str(a)])

@@ -361,6 +361,45 @@ def test_error_energy_monotone_against_dense_reference():
                 prev = cur
 
 
+def _gram_solve_combination(a, r, corrections):
+    """The energy-optimal combination through np.linalg.solve at every size."""
+    applied = [a @ d for d in corrections]
+    gram = np.array([[di @ adj for adj in applied] for di in corrections])
+    rhs = np.array([d @ r for d in corrections])
+    try:
+        alpha = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        alpha = np.full(len(corrections), 1.0 / len(corrections))
+    out = np.zeros_like(corrections[0])
+    for coeff, d in zip(alpha, corrections):
+        out += coeff * d
+    return out
+
+
+def test_energy_combination_matches_gram_solve_bit_for_bit():
+    rng = np.random.default_rng(5)
+    n = 9
+    m = rng.standard_normal((n, n))
+    spd = SparseMatrix.from_dense(m @ m.T + n * np.eye(n))
+    cases = []
+    for _ in range(300):
+        r = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+        for count in (1, 2):
+            scales = 10.0 ** rng.integers(-8, 8, count)
+            cases.append((spd, r, [rng.standard_normal(n) * s for s in scales]))
+    # zero Gram entries: a zero correction, and an operator that annihilates d
+    d = rng.standard_normal(n)
+    d[3] = -0.0
+    cases += [(spd, r, [np.zeros(n)]), (SparseMatrix(n, n), r, [d]),
+              (spd, r, [np.zeros(n), np.zeros(n)])]
+    for a, r, corrections in cases:
+        got = multigrid._energy_optimal_combination(a, r, corrections)
+        assert got.tobytes() == _gram_solve_combination(a, r, corrections).tobytes()
+    # the fallback weight 1 keeps d, with its -0.0 accumulated into +0.0
+    kept = multigrid._energy_optimal_combination(SparseMatrix(n, n), r, [d])
+    assert np.array_equal(kept, d) and not np.signbit(kept[3])
+
+
 def test_w_cycle_variants_run():
     prob = build_problem(3, 1)
     for cls in (ClassicalMultigrid, RecursiveSkeletal):
