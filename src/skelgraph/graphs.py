@@ -34,6 +34,8 @@ __all__ = [
     "to_edge_list",
 ]
 
+_JACOBI_MAX_ORDER = 256  # dense rotations cost O(n**3) per sweep
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -138,7 +140,7 @@ def laplacian(g):
     return g.adj - degree_diagonal(g)
 
 
-def jacobi_eigensystem(m, max_order=256):
+def jacobi_eigensystem(m):
     """Full eigensystem of a symmetric matrix by cyclic Jacobi rotations.
 
     Iterates sweeps in the round-robin order of Brent & Luk (1985), each
@@ -148,8 +150,8 @@ def jacobi_eigensystem(m, max_order=256):
     """
     if m.nrows != m.ncols:
         raise ValueError("eigensystem requires a square matrix")
-    if m.nrows > max_order:
-        raise ValueError(f"matrix order {m.nrows} exceeds the cap {max_order}")
+    if m.nrows > _JACOBI_MAX_ORDER:
+        raise ValueError(f"matrix order {m.nrows} exceeds the cap {_JACOBI_MAX_ORDER}")
     if not m.is_symmetric():
         raise ValueError("eigensystem requires a symmetric matrix")
     a = m.to_dense()

@@ -100,9 +100,7 @@ class LevelCodec:
 
     ``blocks[b]`` is the tuple of factor levels of block b and ``dims[b]``
     the per-factor vertex counts; within a block, factor indices combine
-    row-major (last factor fastest).  The one-factor codec of a graded
-    graph (:func:`codec_of`) has one block per level, levels ascending, and
-    indexes its vertices with :meth:`flat` and :meth:`unflat`.
+    row-major (last factor fastest).
     """
 
     blocks: tuple
@@ -142,23 +140,6 @@ class LevelCodec:
             ivec.append(rem % size)
             rem //= size
         return self.blocks[b], tuple(reversed(ivec))
-
-    def flat(self, level, j):
-        if not 0 <= j < self.sizes[level]:
-            raise ValueError(f"vertex {j} out of range for level {level}")
-        return self.rank((level,), (j,))
-
-    def unflat(self, v):
-        if not 0 <= v < self.total:
-            raise ValueError(f"flat vertex {v} out of range")
-        (level,), (j,) = self.unrank(v)
-        return level, j
-
-
-def codec_of(gg):
-    """One-factor codec: level blocks contiguous, levels ascending."""
-    sizes = gg.level_sizes()
-    return LevelCodec(tuple((l,) for l in range(len(sizes))), tuple((n,) for n in sizes))
 
 
 def truncate(gg, top_level):
@@ -411,15 +392,22 @@ def read_lineage(directory):
         raise ValueError(f"{where}: the manifest and its metadata must be JSON objects")
     for key in ("levelFiles", "interFiles", "prolongFiles"):
         names = manifest.get(key)
-        if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
-            raise ValueError(f"{where}: {key} must be a list of file names")
+        if not isinstance(names, list) or not all(
+                isinstance(f, str) and f not in ("", "..") and Path(f).name == f for f in names):
+            raise ValueError(f"{where}: {key} must be a list of file names in its directory")
     if manifest.get("numLevels") != len(manifest["levelFiles"]):
         raise ValueError(f"{where}: numLevels is missing or disagrees with levelFiles")
     if len(manifest["interFiles"]) != max(len(manifest["levelFiles"]) - 1, 0):
         raise ValueError(f"{where}: interFiles must name one map per consecutive level pair")
     if manifest["prolongFiles"] and len(manifest["prolongFiles"]) != len(manifest["interFiles"]):
         raise ValueError(f"{where}: prolongFiles must be empty or parallel interFiles")
-    levels = [Graph(read_matrix_market(directory / f)) for f in manifest["levelFiles"]]
+    levels = []
+    for f in manifest["levelFiles"]:
+        adj = read_matrix_market(directory / f)
+        try:
+            levels.append(Graph(adj))
+        except ValueError as exc:  # name the file, as the reader's own errors do
+            raise ValueError(f"{directory / f}: {exc}") from None
     inter = [read_matrix_market(directory / f) for f in manifest["interFiles"]]
     prolong = None
     if manifest["prolongFiles"]:

@@ -12,10 +12,11 @@ recurse gamma times, prolong, combine, smooth.  Each supplies its grids (an
 operator per grid and, per grid, the coarser grids correcting it with their
 restriction and prolongation), its coarsest-grid rule (one exact sweep or
 full smoothing) and how corrections combine (a plain sum or energy-optimal
-weights).  Work is counted in smoothing units, charged where each sweep
-runs: one sweep costs the nonzero count of its matrix; transfers are free;
-``cycle_cost`` recomputes it analytically as the check.  All solvers are
-free of randomness, so traces are bit-reproducible.
+weights).  Every visit smooths with one sweep before its coarse
+corrections and one after.  Work is counted in smoothing units, charged
+where each sweep runs: one sweep costs the nonzero count of its matrix;
+transfers are free; ``cycle_cost`` recomputes it analytically as the
+check.  All solvers are free of randomness, so traces are bit-reproducible.
 
 The smoother is forward lexicographic Gauss-Seidel, run by wavefronts (level
 scheduling): a row waits only for the rows it shares an entry with and
@@ -56,17 +57,13 @@ RESIDUAL_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """gamma=1 is a V-cycle, gamma=2 a W-cycle; smoothing counts per visit."""
+    """gamma=1 is a V-cycle, gamma=2 a W-cycle: how often a visit recurses."""
 
     gamma: int = 1
-    pre_smooth: int = 1
-    post_smooth: int = 1
 
     def __post_init__(self):
         if self.gamma not in (1, 2):
             raise ValueError("gamma must be 1 (V) or 2 (W)")
-        if self.pre_smooth < 1 or self.post_smooth < 1:
-            raise ValueError("smoothing counts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -115,39 +112,30 @@ def _pair_prolongation(n_coarse):
     cover; the leftover last node joins the final aggregate (weight 1/sqrt 3)
     so every fine node has a coarse parent and the columns stay orthonormal.
     """
-    n_fine = 2 * n_coarse + 1
-    rows, cols, vals = [], [], []
-    for p in range(n_coarse):
-        members = [2 * p, 2 * p + 1]
-        if p == n_coarse - 1:
-            members.append(n_fine - 1)
-        w = len(members) ** -0.5
-        for m in members:
-            rows.append(m)
-            cols.append(p)
-            vals.append(w)
-    return SparseMatrix(n_fine, n_coarse, rows, cols, vals)
+    rows = np.arange(2 * n_coarse + 1)
+    cols = np.minimum(rows // 2, n_coarse - 1)
+    vals = np.where(cols == n_coarse - 1, 3 ** -0.5, 2 ** -0.5)
+    return SparseMatrix(rows.size, n_coarse, rows, cols, vals)
 
 
-def _boundary_values(k, bc):
-    """Boundary node values on the (n+2) x (n+2) closed grid, row 0 at bottom."""
-    n = 2 ** k - 1
-    m = n + 2
-    vals = np.zeros((m, m))
+def _boundary_rhs(k, bc):
+    """Five-point stencil sums of the boundary values at the interior nodes.
+
+    The closed (n+2) x (n+2) grid, row 0 at the bottom, holds the boundary
+    values and zeros inside: for bc=1, ones on the bottom row and left
+    column; for bc=2, signs alternating along the clockwise walk from the
+    lower-left corner, which is (-1)**(r + c) as every side has 2**k steps.
+    Each node sums at most two values of +-1, so b is exact.
+    """
+    r, c = np.ogrid[: 2 ** k + 1, : 2 ** k + 1]
     if bc == 1:
-        vals[0, :] = 1.0
-        vals[:, 0] = 1.0
+        g = ((r == 0) | (c == 0)).astype(np.float64)
     elif bc == 2:
-        walk = []
-        walk += [(r, 0) for r in range(m - 1)]            # up the left edge
-        walk += [(m - 1, c) for c in range(m - 1)]        # right along the top
-        walk += [(r, m - 1) for r in range(m - 1, 0, -1)] # down the right edge
-        walk += [(0, c) for c in range(m - 1, 0, -1)]     # left along the bottom
-        for t, (r, c) in enumerate(walk):
-            vals[r, c] = (-1.0) ** t
+        g = (-1.0) ** (r + c)
     else:
         raise ValueError("bc must be 1 or 2")
-    return vals
+    g[1:-1, 1:-1] = 0.0
+    return (g[:-2, 1:-1] + g[2:, 1:-1] + g[1:-1, :-2] + g[1:-1, 2:]).ravel()
 
 
 def build_problem(k, bc):
@@ -164,20 +152,8 @@ def build_problem(k, bc):
     ops.reverse()
     prolong.reverse()
     a = kron_sum(ops[-1], ops[-1])
-    bound = _boundary_values(k, bc)
-    b = np.zeros(n * n)
-    border = {(r, c) for r in (1, n) for c in range(1, n + 1)}
-    border |= {(r, c) for c in (1, n) for r in range(1, n + 1)}
-    for r, c in sorted(border):
-        acc = 0.0
-        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if rr in (0, n + 1) or cc in (0, n + 1):
-                acc += bound[rr, cc]
-        if acc:
-            b[(r - 1) * n + (c - 1)] = acc
-    return DirichletProblem(
-        k, n, a, b, (tuple(ops), tuple(ops)), (tuple(prolong), tuple(prolong)), bc
-    )
+    ops, prolong = tuple(ops), tuple(prolong)
+    return DirichletProblem(k, n, a, _boundary_rhs(k, bc), (ops, ops), (prolong, prolong), bc)
 
 
 def export_problem(problem, directory):
@@ -305,26 +281,26 @@ class _GalerkinCycle:
     def _cost(self, g, memo):
         """Analytic work of one visit to grid g, the check on what _visit charges."""
         if g not in memo:
-            a, children, spec = self.ops[g], self.children[g], self.spec
+            a, children = self.ops[g], self.children[g]
             if not children and self.coarsest_exact:
                 memo[g] = a.nnz
             else:
                 below = sum(self._cost(child, memo) for child, _, _ in children)
-                memo[g] = (spec.pre_smooth + spec.post_smooth) * a.nnz + spec.gamma * below
+                memo[g] = 2 * a.nnz + self.spec.gamma * below
         return memo[g]
 
     def _visit(self, g, x, b):
-        a, children, spec = self.ops[g], self.children[g], self.spec
+        a, children = self.ops[g], self.children[g]
         if not children and self.coarsest_exact:
-            return gauss_seidel(a, x, b, 1), float(a.nnz)
-        x = gauss_seidel(a, x, b, spec.pre_smooth)
-        work = float(spec.pre_smooth * a.nnz)
+            return gauss_seidel(a, x, b), float(a.nnz)
+        x = gauss_seidel(a, x, b)
+        work = float(a.nnz)
         r = b - a @ x
         corrections = []
         for child, restrict, prolong in children:
             rc = restrict(r)
             c = np.zeros(rc.size)
-            for _ in range(spec.gamma):
+            for _ in range(self.spec.gamma):
                 c, w = self._visit(child, c, rc)
                 work += w
             corrections.append(prolong(c))
@@ -332,7 +308,7 @@ class _GalerkinCycle:
             x = x + _energy_optimal_combination(a, r, corrections)
         else:
             x = sum(corrections, x)
-        return gauss_seidel(a, x, b, spec.post_smooth), work + spec.post_smooth * a.nnz
+        return gauss_seidel(a, x, b), work + a.nnz
 
     def cycle(self, x):
         return self._visit(self.top, x, self.problem.b)
@@ -414,13 +390,6 @@ class RecursiveSkeletal(_GalerkinCycle):
             if l2 > 1:
                 children[l1, l2].append(_factor_child((l1, l2 - 1), p2[l2 - 1], 1))
         super().__init__(problem, cycle, (k, k), ops, children)
-
-    def _grid(self, l1, l2):
-        return self.ops[l1, l2]
-
-    def solve_on_grid(self, l1, l2, x, b):
-        """One recursion from an arbitrary grid; exposed for testing."""
-        return self._visit((l1, l2), np.array(x, dtype=float), b)
 
 
 class LevelwiseSkeletal(_GalerkinCycle):

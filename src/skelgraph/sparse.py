@@ -302,10 +302,6 @@ class Permutation:
         inv[self.forward] = np.arange(self.n)
         return Permutation(inv)
 
-    def compose(self, other):
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(self.forward[other.forward])
-
     def __call__(self, i):
         return int(self.forward[i])
 
@@ -324,15 +320,13 @@ def permute(a, p):
     return SparseMatrix(a.nrows, a.ncols, p.forward[a.rows], p.forward[a.cols], a.vals)
 
 
-def remap(a, row_map, col_map, nrows=None, ncols=None):
+def remap(a, row_map, col_map):
     """Push entries through independent row/col relabelings (rectangular ok)."""
     row_map = np.asarray(row_map, dtype=np.int64)
     col_map = np.asarray(col_map, dtype=np.int64)
     if row_map.size != a.nrows or col_map.size != a.ncols:
         raise ValueError("relabeling length does not match matrix dimensions")
-    nrows = a.nrows if nrows is None else nrows
-    ncols = a.ncols if ncols is None else ncols
-    return SparseMatrix(nrows, ncols, row_map[a.rows], col_map[a.cols], a.vals)
+    return SparseMatrix(a.nrows, a.ncols, row_map[a.rows], col_map[a.cols], a.vals)
 
 
 def submatrix(a, row_start, row_stop, col_start, col_stop):

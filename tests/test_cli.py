@@ -127,7 +127,11 @@ def test_validate_flags_corruption(tmp_path):
     lambda text: text.replace("8 8 7\n", "8 8 8\n") + "1 2 1.0\n",
     lambda text: text + "1 1 1.0\n",
     lambda text: text.replace("\n8 7 ", "\n9 7 "),
-], ids=["truncated", "pattern-header", "symmetric-upper-entry", "extra-entry", "index-out-of-range"])
+    lambda text: text.replace("real symmetric", "real general", 1),
+    lambda text: text.replace("\n8 7 1.0", "\n8 7 -1.0"),
+    lambda text: text.replace("8 8 7\n", "8 9 7\n"),
+], ids=["truncated", "pattern-header", "symmetric-upper-entry", "extra-entry", "index-out-of-range",
+        "general-lower-triangle", "negative-value", "non-square"])
 def test_validate_malformed_matrix_is_one_error_line(tmp_path, capsys, corrupt):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "3", "--out", str(src)])
@@ -163,8 +167,9 @@ def test_validate_manifest_level_count_mismatch_is_one_error_line(tmp_path, caps
     lambda manifest: {k: v for k, v in manifest.items() if k != "numLevels"},
     lambda manifest: dict(manifest, interFiles=manifest["interFiles"][:-1]),
     lambda manifest: dict(manifest, prolongFiles=manifest["prolongFiles"][:-1]),
+    lambda manifest: dict(manifest, levelFiles=["../p/" + f for f in manifest["levelFiles"]]),
 ], ids=["list", "null-level-files", "non-string-file-names", "scalar-metadata", "invalid-json",
-        "missing-num-levels", "inter-files-short", "prolong-files-short"])
+        "missing-num-levels", "inter-files-short", "prolong-files-short", "escaping-file-name"])
 def test_malformed_manifest_is_one_error_line(tmp_path, capsys, corrupt, command):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "2", "--out", str(src)])

@@ -7,7 +7,6 @@ from skelgraph.graphs import Graph, path_graph
 from skelgraph.lineage import (
     GradedGraph,
     assemble_flat,
-    codec_of,
     complete_lineage,
     grid2d_lineage,
     growth_profile,
@@ -122,14 +121,6 @@ def test_assemble_flat_matches_block_assembly_oracle():
     }
     assert assemble_flat(gg).adj == block_assemble(blocks, sizes, sizes)
     assert assemble_flat(gg).n == 7
-
-
-def test_codec_round_trip():
-    codec = codec_of(path_lineage(3))
-    assert codec.total == 15
-    for v in range(codec.total):
-        level, j = codec.unflat(v)
-        assert codec.flat(level, j) == v
 
 
 def test_truncate():

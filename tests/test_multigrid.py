@@ -24,8 +24,6 @@ from skelgraph.sparse import SparseMatrix, identity, kron, kron_sum
 def test_cycle_spec_validation():
     with pytest.raises(ValueError):
         CycleSpec(gamma=3)
-    with pytest.raises(ValueError):
-        CycleSpec(pre_smooth=0)
 
 
 def test_build_problem_k2_bc1_rhs():
@@ -38,6 +36,63 @@ def test_build_problem_k2_bc2_rhs():
     # the resulting stencil accumulation by hand gives the checkerboard below
     prob = build_problem(2, 2)
     assert np.array_equal(prob.b, [-2, 1, -2, 1, 0, 1, -2, 1, -2])
+
+
+def _loop_pair_prolongation(n_coarse):
+    """The per-aggregate pair prolongation, the byte reference for the vectorized one."""
+    n_fine = 2 * n_coarse + 1
+    rows, cols, vals = [], [], []
+    for p in range(n_coarse):
+        members = [2 * p, 2 * p + 1]
+        if p == n_coarse - 1:
+            members.append(n_fine - 1)
+        w = len(members) ** -0.5
+        for m in members:
+            rows.append(m)
+            cols.append(p)
+            vals.append(w)
+    return SparseMatrix(n_fine, n_coarse, rows, cols, vals)
+
+
+def _loop_boundary_rhs(k, bc):
+    """The border-node accumulation of boundary values, the byte reference for b."""
+    n = 2 ** k - 1
+    m = n + 2
+    bound = np.zeros((m, m))
+    if bc == 1:
+        bound[0, :] = 1.0
+        bound[:, 0] = 1.0
+    else:
+        walk = []
+        walk += [(r, 0) for r in range(m - 1)]            # up the left edge
+        walk += [(m - 1, c) for c in range(m - 1)]        # right along the top
+        walk += [(r, m - 1) for r in range(m - 1, 0, -1)] # down the right edge
+        walk += [(0, c) for c in range(m - 1, 0, -1)]     # left along the bottom
+        for t, (r, c) in enumerate(walk):
+            bound[r, c] = (-1.0) ** t
+    b = np.zeros(n * n)
+    border = {(r, c) for r in (1, n) for c in range(1, n + 1)}
+    border |= {(r, c) for c in (1, n) for r in range(1, n + 1)}
+    for r, c in sorted(border):
+        acc = 0.0
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if rr in (0, n + 1) or cc in (0, n + 1):
+                acc += bound[rr, cc]
+        if acc:
+            b[(r - 1) * n + (c - 1)] = acc
+    return b
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_problem_matches_loop_references_byte_for_byte(k):
+    for bc in (1, 2):
+        prob = build_problem(k, bc)
+        assert prob.b.tobytes() == _loop_boundary_rhs(k, bc).tobytes()
+    for i, p in enumerate(prob.factor_prolong[0], start=1):
+        ref = _loop_pair_prolongation(2 ** i - 1)
+        assert p.shape == ref.shape
+        for got, want in ((p.rows, ref.rows), (p.cols, ref.cols), (p.vals, ref.vals)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_build_problem_operator_shape():
@@ -251,8 +306,8 @@ def test_recursive_skeletal_coarsest_grid_smooths_only():
     prob = build_problem(2, 1)
     solver = RecursiveSkeletal(prob)
     b = np.array([8.0])
-    x, work = solver.solve_on_grid(1, 1, np.zeros(1), b)
-    a11 = solver._grid(1, 1)
+    a11 = solver.ops[1, 1]
+    x, work = solver._visit((1, 1), np.zeros(1), b)
     # two exact sweeps on the 1x1 system, no recursion
     assert work == 2 * a11.nnz
     assert x[0] == pytest.approx(b[0] / a11.diagonal()[0])

@@ -2,12 +2,13 @@
 
     python tools/output_digest.py [SRC]
 
-imports skelgraph from SRC (default: this tree's ``src``), runs the CLI and
-``run_benchmark`` into a temporary directory and hashes every file they
-write.  Running it once with this tree's ``src`` and once with the ``src``
-of a ``git clone`` of another commit, then diffing the two listings, checks
-that the two commits write byte-identical outputs.  The bytes depend on how
-the BLAS library rounds, so compare only runs on one machine.
+imports skelgraph from SRC (default: this tree's ``src``), runs the CLI,
+``export_problem`` and ``run_benchmark`` into a temporary directory and
+hashes every file they write.  Running it once with this tree's ``src``
+and once with the ``src`` of a ``git clone`` of another commit, then
+diffing the two listings, checks that the two commits write byte-identical
+outputs.  The bytes depend on how the BLAS library rounds, so compare only
+runs on one machine.
 
 The runs:
 
@@ -17,6 +18,8 @@ The runs:
   ``--weights prolong``;
 - ``product nway-hat|nway-tilde`` on three factors, ``product dilated`` at
   two rate/kind pairs, ``thicken`` and ``cnn-structure``;
+- ``export_problem`` (``A.mtx`` and ``b.txt``) at k = 2..6, bc 1 and 2,
+  since no CLI path writes b;
 - the ``run_benchmark`` CSV of all six algorithms at k = 2..5, bc 1 and 2,
   with the recursive W-cycle at k = 5 in its own file.
 """
@@ -44,7 +47,7 @@ def _cli(main, *argv):
 
 def write_outputs(out):
     from skelgraph.cli import main
-    from skelgraph.multigrid import ALGORITHMS, build_problem, run_benchmark
+    from skelgraph.multigrid import ALGORITHMS, build_problem, export_problem, run_benchmark
 
     lin = out / "lineages"
     for name, levels in GENERATORS.items():
@@ -73,6 +76,9 @@ def write_outputs(out):
     _cli(main, "cnn-structure", "--grid-levels", "2", "--feature-levels", "2",
          "--out", str(out / "cnn-structure"))
 
+    for k in range(2, 7):
+        for bc in (1, 2):
+            export_problem(build_problem(k, bc), out / "problems" / f"k{k}_bc{bc}")
     bench = out / "bench"
     bench.mkdir()
     for k in range(2, 6):
