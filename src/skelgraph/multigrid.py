@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .skeletal import _product_levels
-from .sparse import SparseMatrix, kron, kron_sum, write_matrix_market
+from .sparse import SparseMatrix, _segments, kron, kron_sum, write_matrix_market
 
 __all__ = [
     "CycleSpec",
@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 RESIDUAL_FLOOR = 1e-10
+# solver set-up grows ~4x per step of k and peaks at 2.4 GB or more at k = 11,
+# so at k = 12 (where build_problem alone peaks at 3.1 GB) it needs ~10 GB
+MAX_BENCHMARK_K = 11
 
 
 @dataclass(frozen=True)
@@ -214,13 +217,6 @@ def _wavefront_schedule(a):
     return order, diag[order], rank[a.cols[entries]], a.vals[entries], groups
 
 
-def _segments(starts, ends):
-    """Concatenated ranges starts[i]:ends[i]."""
-    lengths = ends - starts
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-
-
 def gauss_seidel(a, x, b, sweeps=1):
     """Forward lexicographic Gauss-Seidel sweeps; returns a new vector.
 
@@ -317,9 +313,10 @@ class _GalerkinCycle:
         return float(np.linalg.norm(self.problem.b - self.problem.A @ x))
 
 
-def _sparse_child(child, p):
-    """A coarser grid reached through prolongation p and restriction p.T."""
-    return child, lambda r: p.T @ r, lambda c: p @ c
+def _sparse_child(child, p, pt):
+    """A coarser grid reached through prolongation p and restriction pt = p.T,
+    transposed once at set-up rather than on every restriction."""
+    return child, lambda r: pt @ r, lambda c: p @ c
 
 
 def _factor_child(child, p, axis):
@@ -350,8 +347,9 @@ class ClassicalMultigrid(_GalerkinCycle):
         ops, children = [None] * problem.k + [problem.A], [[] for _ in range(problem.k + 1)]
         for i in range(problem.k - 1, 0, -1):
             p2 = kron(pro1[i - 1], pro1[i - 1])
-            ops[i] = p2.T @ ops[i + 1] @ p2
-            children[i + 1] = [_sparse_child(i, p2)]
+            p2t = p2.T
+            ops[i] = p2t @ ops[i + 1] @ p2
+            children[i + 1] = [_sparse_child(i, p2, p2t)]
         super().__init__(problem, cycle, problem.k, ops, children)
 
 
@@ -414,7 +412,7 @@ class LevelwiseSkeletal(_GalerkinCycle):
             ops[L] = a
             if p is not None:
                 self.transfer[L] = _renormalize_columns(p)
-                children[L] = [_sparse_child(L - 1, self.transfer[L])]
+                children[L] = [_sparse_child(L - 1, self.transfer[L], self.transfer[L].T)]
         super().__init__(problem, cycle, 2 * k, ops, children)
 
 
@@ -472,6 +470,9 @@ def run_benchmark(k, bc, algorithms, budget):
     budget records just the starting residuals.  Rows are ordered by
     (algorithm, cycle).
     """
+    if k > MAX_BENCHMARK_K:
+        raise ValueError(f"k must be at most {MAX_BENCHMARK_K} to benchmark solvers: "
+                         f"their set-up at k = 12 needs ~10 GB or more")
     problem = build_problem(k, bc)
     trace = WorkTrace()
     bnorm = float(np.linalg.norm(problem.b))

@@ -424,8 +424,12 @@ def factor_swap_permutation(prod_ab, prod_ba, level):
     of the first product onto ((l2,i2),(l1,i1)) of the second."""
     codec = prod_ab.meta["codec"][level]
     codec_ba = prod_ba.meta["codec"][level]
-    forward = np.empty(codec.total, dtype=np.int64)
-    for v in range(codec.total):
-        (l1, l2), (i1, i2) = codec.unrank(v)
-        forward[v] = codec_ba.rank((l2, l1), (i2, i1))
-    return Permutation(forward)
+    offsets = codec_ba.offsets
+    # block (l1, l2) lists i1 * n2 + i2 row-major; (i2, i1) sits at i2 * m1 + i1
+    # of the second product's block (l2, l1), whose dims are (m2, m1)
+    parts = [np.zeros(0, dtype=np.int64)]
+    for (l1, l2), (n1, n2) in zip(codec.blocks, codec.dims):
+        b = codec_ba.block_index((l2, l1))
+        m1 = codec_ba.dims[b][1]
+        parts.append(offsets[b] + np.add.outer(np.arange(n1), np.arange(n2) * m1).ravel())
+    return Permutation(np.concatenate(parts))

@@ -5,6 +5,14 @@ solver operator) is a :class:`SparseMatrix`.  Entries are kept in a single
 canonical form -- sorted by (row, col), duplicates summed, exact zeros
 dropped -- so that two constructions can be compared bit-for-bit.  Values
 are float64 throughout; structural comparisons never involve a tolerance.
+
+The constructor is the one place that enforces that form.  It first checks
+in one pass whether the keys already increase strictly; only if they do not
+does it sort them, stably, and sum each key's duplicates in input order.
+``kron``, ``kron_sum``, ``add`` (and ``-``), ``transpose``,
+``block_assemble``, ``submatrix``, ``scale`` and ``pattern`` emit their
+entries in canonical order, so they never reach that sort; ``matmul``,
+``permute``, ``remap`` and symmetric Matrix Market files do.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ class SparseMatrix:
 
     Canonical form: triplets sorted by (row asc, col asc), one entry per
     (row, col) key, no stored zeros.  Equality is dimensions plus exact
-    triplet equality.
+    triplet equality.  Index and value arrays already in that form are kept
+    as given, as read-only views: do not write to them afterwards.
     """
 
     # _sweep_cache holds the Gauss-Seidel schedule that multigrid.gauss_seidel
@@ -59,13 +68,20 @@ class SparseMatrix:
             if cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("col index out of range")
             keys = rows * ncols + cols
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            merged = np.bincount(inverse, weights=vals, minlength=uniq.size)
-            keep = merged != 0.0
-            uniq = uniq[keep]
-            rows = uniq // ncols
-            cols = uniq % ncols
-            vals = merged[keep]
+            if np.all(keys[1:] > keys[:-1]):
+                keep = vals != 0.0
+                if not keep.all():
+                    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+            else:
+                # a stable sort keeps each key's duplicates in input order, so
+                # bincount sums them in that order, starting from 0.0
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                first = np.append(True, keys[1:] != keys[:-1])
+                merged = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+                keep = merged != 0.0
+                keys = keys[first][keep]
+                rows, cols, vals = keys // ncols, keys % ncols, merged[keep]
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.rows = rows
@@ -138,16 +154,17 @@ class SparseMatrix:
     def csr(self):
         """Row-compressed view (indptr, indices, data); cached."""
         if self._csr_cache is None:
-            indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-            np.add.at(indptr, self.rows + 1, 1)
-            np.cumsum(indptr, out=indptr)
+            indptr = np.searchsorted(self.rows, np.arange(self.nrows + 1))
             self._csr_cache = (indptr, self.cols, self.vals)
         return self._csr_cache
 
     # -- arithmetic ---------------------------------------------------
 
     def transpose(self):
-        return SparseMatrix(self.ncols, self.nrows, self.cols, self.rows, self.vals)
+        # a stable sort by column keeps each column's rows ascending
+        order = np.argsort(self.cols, kind="stable")
+        return SparseMatrix(self.ncols, self.nrows, self.cols[order], self.rows[order],
+                            self.vals[order])
 
     @property
     def T(self):
@@ -159,13 +176,16 @@ class SparseMatrix:
     def add(self, other):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch in add: {self.shape} vs {other.shape}")
-        return SparseMatrix(
-            self.nrows,
-            self.ncols,
-            np.concatenate([self.rows, other.rows]),
-            np.concatenate([self.cols, other.cols]),
-            np.concatenate([self.vals, other.vals]),
-        )
+        # merge the two canonical lists; at a shared key self's entry goes first
+        ka, kb = (m.rows * m.ncols + m.cols for m in (self, other))
+        at_a = np.arange(ka.size) + np.searchsorted(kb, ka)
+        at_b = np.arange(kb.size) + np.searchsorted(ka, kb, side="right")
+        keys, vals = np.empty(ka.size + kb.size, dtype=np.int64), np.empty(ka.size + kb.size)
+        keys[at_a], keys[at_b], vals[at_a], vals[at_b] = ka, kb, self.vals, other.vals
+        shared = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        vals[shared - 1] += vals[shared]
+        keys, vals = np.delete(keys, shared), np.delete(vals, shared)
+        return SparseMatrix(self.nrows, self.ncols, keys // self.ncols, keys % self.ncols, vals)
 
     def __add__(self, other):
         return self.add(other)
@@ -191,12 +211,8 @@ class SparseMatrix:
             raise ValueError(f"shape mismatch in matmul: {self.shape} @ {other.shape}")
         # expand every left entry against the matching row segment of `other`
         indptr, _, _ = other.csr()
-        starts = indptr[self.cols]
-        lengths = indptr[self.cols + 1] - starts
-        reps = np.repeat(np.arange(self.nnz), lengths)
-        # positions inside each segment: 0..len-1, offset by the segment start
-        pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        take = starts[reps] + pos
+        reps = np.repeat(np.arange(self.nnz), np.diff(indptr)[self.cols])
+        take = _segments(indptr[self.cols], indptr[self.cols + 1])
         return SparseMatrix(
             self.nrows,
             other.ncols,
@@ -220,40 +236,87 @@ def zeros(nrows, ncols):
     return SparseMatrix(nrows, ncols)
 
 
+def _segments(starts, ends):
+    """Concatenated ranges starts[i]:ends[i]."""
+    lengths = ends - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
 def kron(a, b):
-    """Kronecker product; index pairing (i, p) -> i * b.nrows + p."""
-    br = np.tile(b.rows, a.nnz)
-    bc = np.tile(b.cols, a.nnz)
-    bv = np.tile(b.vals, a.nnz)
-    ar = np.repeat(a.rows, b.nnz)
-    ac = np.repeat(a.cols, b.nnz)
-    av = np.repeat(a.vals, b.nnz)
+    """Kronecker product; index pairing (i, p) -> i * b.nrows + p.
+
+    Entries come out by a-row, then b-row, then a-entry, then b-entry, which
+    is canonical order.
+    """
+    pa, pb = a.csr()[0], b.csr()[0]
+    # a run of b-entries per (a-entry, b-row), ordered by a-row, b-row, a-entry
+    e = _segments(np.repeat(pa[:-1], b.nrows), np.repeat(pa[1:], b.nrows))
+    p = np.repeat(np.tile(np.arange(b.nrows), a.nrows), np.repeat(np.diff(pa), b.nrows))
+    f = _segments(pb[p], pb[p + 1])
+    e = np.repeat(e, pb[p + 1] - pb[p])
     return SparseMatrix(
         a.nrows * b.nrows,
         a.ncols * b.ncols,
-        ar * b.nrows + br,
-        ac * b.ncols + bc,
-        av * bv,
+        a.rows[e] * b.nrows + b.rows[f],
+        a.cols[e] * b.ncols + b.cols[f],
+        a.vals[e] * b.vals[f],
     )
 
 
 def kron_sum(a, b):
-    """Kronecker sum kron(a, I) + kron(I, b) of two square matrices."""
+    """Kronecker sum kron(a, I) + kron(I, b) of two square matrices.
+
+    Built in one pass in canonical order: row (i, p) holds a's entries left
+    of column i, then b's row p with a_ii + b_pp in the diagonal slot (stored
+    where a_ii or b_pp is), then a's entries right of column i.
+    """
     if a.nrows != a.ncols or b.nrows != b.ncols:
         raise ValueError("kron_sum requires square operands")
-    return kron(a, identity(b.nrows)) + kron(identity(a.nrows), b)
+    na, nb = a.nrows, b.nrows
+    ad, bd = a.diagonal(), b.diagonal()
+    slot = (ad[:, None] != 0.0) | (bd != 0.0)
+
+    def off_diagonal(m):
+        """Off-diagonal entries, each one's rank in its row, and per row the
+        count of them left of the diagonal and in all."""
+        o = m.rows != m.cols
+        r, c = m.rows[o], m.cols[o]
+        per_row = np.bincount(r, minlength=m.nrows)
+        rank = np.arange(r.size) - (np.cumsum(per_row) - per_row)[r]
+        return r, c, m.vals[o], rank, np.bincount(r[c < r], minlength=m.nrows), per_row
+
+    ar, ac, av, arank, aleft, an = off_diagonal(a)
+    br, bc, bv, brank, bleft, bn = off_diagonal(b)
+    count = an[:, None] + bn + slot
+    start = np.cumsum(count).reshape(na, nb) - count
+    cols = np.empty(int(count.sum()), dtype=np.int64)
+    vals = np.empty(cols.size)
+    pos = start[ar] + arank[:, None] + (ac > ar)[:, None] * (bn + slot[ar])
+    cols[pos], vals[pos] = ac[:, None] * nb + np.arange(nb), av[:, None]
+    pos = start[:, br] + aleft[:, None] + brank + (bc > br) * slot[:, br]
+    cols[pos], vals[pos] = np.arange(na)[:, None] * nb + bc, bv
+    pos = (start + aleft[:, None] + bleft)[slot]
+    cols[pos], vals[pos] = np.flatnonzero(slot), (ad[:, None] + bd)[slot]
+    rows = np.repeat(np.arange(na * nb), count.ravel())
+    return SparseMatrix(na * nb, na * nb, rows, cols, vals)
 
 
 def block_assemble(blocks, row_sizes, col_sizes):
     """Assemble a block matrix from a {(block_row, block_col): matrix} map.
 
     Absent blocks are zero.  Offsets are prefix sums of the given sizes;
-    every supplied block must match its slot dimensions exactly.
+    every supplied block must match its slot dimensions exactly.  Entries
+    come out row-major: blocks in (block row, block column) order, so with at
+    most one block per block row (block-diagonal levels) nothing is sorted.
     """
     row_off = np.concatenate([[0], np.cumsum(row_sizes)]).astype(np.int64)
     col_off = np.concatenate([[0], np.cumsum(col_sizes)]).astype(np.int64)
-    rows, cols, vals = [], [], []
-    for (bi, bj), m in blocks.items():
+    items = sorted(blocks.items(), key=lambda item: item[0])
+    ends = np.cumsum([0] + [m.nnz for _, m in items])
+    rows, cols = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1], dtype=np.int64)
+    vals = np.empty(ends[-1])
+    for ((bi, bj), m), start, end in zip(items, ends[:-1], ends[1:]):
         if not (0 <= bi < len(row_sizes) and 0 <= bj < len(col_sizes)):
             raise ValueError(f"block position {(bi, bj)} out of range")
         if m.shape != (row_sizes[bi], col_sizes[bj]):
@@ -261,18 +324,15 @@ def block_assemble(blocks, row_sizes, col_sizes):
                 f"block {(bi, bj)} has shape {m.shape}, slot expects "
                 f"{(row_sizes[bi], col_sizes[bj])}"
             )
-        rows.append(m.rows + row_off[bi])
-        cols.append(m.cols + col_off[bj])
-        vals.append(m.vals)
-    if not rows:
-        return SparseMatrix(int(row_off[-1]), int(col_off[-1]))
-    return SparseMatrix(
-        int(row_off[-1]),
-        int(col_off[-1]),
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
+        np.add(m.rows, row_off[bi], out=rows[start:end])
+        np.add(m.cols, col_off[bj], out=cols[start:end])
+        vals[start:end] = m.vals
+    if len({bi for bi, _ in blocks}) < len(blocks):
+        # blocks sharing a block row interleave: a stable sort by row keeps
+        # each row's blocks in block-column order
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    return SparseMatrix(int(row_off[-1]), int(col_off[-1]), rows, cols, vals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -292,6 +292,14 @@ def test_bench_rejects_unknown_algorithm(tmp_path):
     assert code == 1
 
 
+def test_bench_refuses_k_whose_solvers_do_not_fit(tmp_path, capsys):
+    code = main(["bench", "--k", "12", "--bc", "1", "--budget", "0",
+                 "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"], ["bench", "--help"]])
 def test_help_exits_zero(argv, capsys):
     assert main(argv) == 0

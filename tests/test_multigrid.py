@@ -123,6 +123,12 @@ def test_build_problem_rejects_bad_k():
         build_problem(3, 3)
 
 
+def test_run_benchmark_refuses_k_whose_solvers_do_not_fit():
+    # refused before any grid is built, so this costs nothing at k = 12
+    with pytest.raises(ValueError, match="at most 11"):
+        run_benchmark(12, 1, ["gauss_seidel"], 0.0)
+
+
 def test_factor_galerkin_consistency():
     prob = build_problem(5, 1)
     ops, _ = prob.factor_ops

@@ -216,6 +216,27 @@ def test_commutativity_swap_permutation():
             assert moved == ba.inter[level]
 
 
+def test_factor_swap_permutation_matches_per_vertex_loop():
+    def per_vertex(prod_ab, prod_ba, level):
+        codec = prod_ab.meta["codec"][level]
+        codec_ba = prod_ba.meta["codec"][level]
+        forward = np.empty(codec.total, dtype=np.int64)
+        for v in range(codec.total):
+            (l1, l2), (i1, i2) = codec.unrank(v)
+            forward[v] = codec_ba.rank((l2, l1), (i2, i1))
+        return Permutation(forward)
+
+    # the products of acceptance criterion 7, and deeper unequal factors
+    pairs = [(path_lineage(2), complete_lineage(2)), (path_lineage(4), complete_lineage(3)),
+             (grid2d_lineage(2), unit_lineage(3))]
+    for g1, g2 in pairs:
+        for build in (skeletal_box, skeletal_cross):
+            ab, ba = build(g1, g2), build(g2, g1)
+            for level in range(ab.num_levels):
+                want = per_vertex(ab, ba, level)
+                assert factor_swap_permutation(ab, ba, level) == want
+
+
 # -- weighted mode -----------------------------------------------------------
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skelgraph.sparse import (
     Permutation,
@@ -44,6 +47,112 @@ def test_canonicalization_sorts_merges_and_drops_zeros():
     assert m.nnz == 1
     assert m.rows.tolist() == [0] and m.cols.tolist() == [1]
     assert m.vals.tolist() == [2.0]
+
+
+def sorting_reference(nrows, ncols, rows, cols, vals):
+    """The constructor's canonicalization before it checked for sorted input:
+    np.unique over every key, duplicates summed by bincount of the inverse."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    if not rows.size:
+        return rows, cols, vals
+    keys = rows * ncols + cols
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    merged = np.bincount(inverse, weights=vals, minlength=uniq.size)
+    keep = merged != 0.0
+    uniq = uniq[keep]
+    return uniq // ncols, uniq % ncols, merged[keep]
+
+
+@st.composite
+def triplets(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    index = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    # few distinct values, so that duplicates cancel, plus -0.0 and arbitrary floats
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 0.2, 1e-300, 1e308]) | st.floats(
+        allow_nan=False
+    )
+    entries = draw(st.lists(st.tuples(index, value), max_size=25))
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed", "canonical"]))
+    if order != "drawn":
+        entries.sort(key=lambda e: e[0])  # stable: duplicates keep their order
+    if order == "reversed":
+        entries.reverse()
+    if order == "canonical":
+        entries = list({key: (key, v) for key, v in entries}.values())
+    rows = [r for (r, _), _ in entries]
+    cols = [c for (_, c), _ in entries]
+    return nrows, ncols, rows, cols, [v for _, v in entries]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(triplets())
+@example((2, 3, [], [], []))  # empty
+@example((2, 3, [1], [2], [-0.0]))  # one entry, a negative zero
+@example((2, 3, [1], [2], [3.5]))  # one entry
+@example((2, 3, [0, 0, 1, 1], [0, 2, 1, 2], [1.0, 2.0, 3.0, 4.0]))  # presorted
+@example((2, 3, [1, 1, 0, 0], [2, 1, 2, 0], [1.0, 2.0, 3.0, 4.0]))  # reverse-sorted
+@example((2, 3, [1, 0, 1, 1], [2, 1, 2, 2], [0.1, 5.0, 0.2, -0.30000000000000004]))  # sums to 0
+def test_constructor_matches_sorting_reference_bit_for_bit(case):
+    m = SparseMatrix(*case)
+    for got, want in zip((m.rows, m.cols, m.vals), sorting_reference(*case)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _builder_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for m, n, p, q in [(3, 4, 2, 5), (5, 5, 4, 4), (1, 1, 3, 3), (0, 2, 3, 1), (4, 3, 1, 1)]:
+        a, b = random_sparse(rng, m, n), random_sparse(rng, p, q, 0.6)
+        cases.append(("kron", kron, (a, b), sp.kron(sp.csr_array(a.to_dense()), b.to_dense())))
+    for n1, n2 in [(3, 4), (5, 5), (1, 3), (4, 1), (6, 2)]:
+        a, b = random_sparse(rng, n1, n1), random_sparse(rng, n2, n2)
+        if n1 == n2:  # a diagonal that cancels b's where both are stored
+            idx = np.arange(n1)
+            a = a - SparseMatrix(n1, n1, idx, idx, a.diagonal() + b.diagonal())
+        want = sp.kron(a.to_dense(), np.eye(n2)) + sp.kron(np.eye(n1), b.to_dense())
+        cases.append(("kron_sum", kron_sum, (a, b), want))
+    for shape in [(4, 5), (1, 1), (6, 3)]:
+        a, b = random_sparse(rng, *shape), random_sparse(rng, *shape)
+        c = a.scale(-1.0) + random_sparse(rng, *shape, 0.2)  # shares and cancels keys of a
+        for x, y in [(a, b), (a, c), (c, a), (a, zeros(*shape))]:
+            cases.append(("add", SparseMatrix.add, (x, y), sp.csr_array(x.to_dense() + y.to_dense())))
+        cases.append(("transpose", SparseMatrix.transpose, (a,), sp.csr_array(a.to_dense().T)))
+    sizes_r, sizes_c = [2, 0, 3, 1], [3, 2, 1]
+    blocks = {}
+    for bi, bj in [(2, 1), (0, 2), (2, 0), (0, 0), (3, 2), (2, 2), (1, 1)]:
+        blocks[bi, bj] = random_sparse(rng, sizes_r[bi], sizes_c[bj], 0.7)
+    dense = np.zeros((sum(sizes_r), sum(sizes_c)))
+    ro, co = np.cumsum([0] + sizes_r), np.cumsum([0] + sizes_c)
+    for (bi, bj), m in blocks.items():
+        dense[ro[bi]:ro[bi + 1], co[bj]:co[bj + 1]] = m.to_dense()
+    cases.append(("block_assemble", block_assemble, (blocks, sizes_r, sizes_c), sp.csr_array(dense)))
+    diagonal = {(i, i): random_sparse(rng, n, n) for i, n in enumerate([3, 1, 4])}
+    want = sp.block_diag([m.to_dense() for m in diagonal.values()])
+    cases.append(("block_assemble", block_assemble, (diagonal, [3, 1, 4], [3, 1, 4]), want))
+    return cases
+
+
+@pytest.mark.parametrize("name, build, args, want", _builder_cases())
+def test_builders_hand_the_constructor_canonical_keys(monkeypatch, name, build, args, want):
+    handed = []
+    init = SparseMatrix.__init__
+
+    def recording_init(self, nrows, ncols, rows=(), cols=(), vals=()):
+        keys = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
+        handed.append(bool(np.all(keys[1:] > keys[:-1])))
+        init(self, nrows, ncols, rows, cols, vals)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", recording_init)
+    got = build(*args)
+    monkeypatch.undo()
+    assert handed and all(handed), name
+    want = sp.coo_array(want)
+    want.sum_duplicates()
+    want.eliminate_zeros()  # sum_duplicates sorts row-major and may keep cancelled sums
+    assert got.shape == want.shape
+    assert np.array_equal(got.rows, want.row) and np.array_equal(got.cols, want.col)
+    assert np.array_equal(got.vals, want.data)
 
 
 def test_index_bounds_checked():

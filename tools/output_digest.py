@@ -21,7 +21,12 @@ The runs:
 - ``export_problem`` (``A.mtx`` and ``b.txt``) at k = 2..6, bc 1 and 2,
   since no CLI path writes b;
 - the ``run_benchmark`` CSV of all six algorithms at k = 2..5, bc 1 and 2,
-  with the recursive W-cycle at k = 5 in its own file.
+  with the recursive W-cycle at k = 5 in its own file;
+- in memory, not as files: every grid operator and transfer that the five
+  cycle solvers build at k = 2..7.  A grid's line hashes the triplet bytes
+  of its operator and, per coarser grid it corrects from, the prolongation
+  the solver holds (sparse triplets or dense array) and the restriction
+  applied to a fixed seeded vector.
 """
 
 from __future__ import annotations
@@ -33,9 +38,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 GENERATORS = {"path": 4, "complete": 3, "grid2d": 3, "nhat": 3}
 PAIRS = [("path", "complete"), ("complete", "grid2d"), ("nhat", "path")]
 BUDGET_PER_NNZ = 1000  # work budget of each run_benchmark call, per nonzero of A
+CYCLE_SOLVERS = ("classical_mg_v", "classical_mg_w", "skeletal_recursive_v",
+                 "skeletal_recursive_w", "skeletal_levelwise_v")
 
 
 def _cli(main, *argv):
@@ -93,6 +102,43 @@ def write_outputs(out):
                 (bench / f"k{k}_bc{bc}{suffix}.csv").write_text(trace.to_csv())
 
 
+def _hash_array(h, a):
+    h.update(repr((a.dtype.str, a.shape)).encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def operator_digests():
+    """Yield (name, sha256) for every grid of the five cycle solvers at k = 2..7."""
+    from skelgraph.multigrid import build_problem, make_solver
+    from skelgraph.sparse import SparseMatrix
+
+    for k in range(2, 8):
+        problem = build_problem(k, 1)
+        for name in CYCLE_SOLVERS:
+            solver = make_solver(name, problem)
+            grids = solver.ops.items() if isinstance(solver.ops, dict) else enumerate(solver.ops)
+            for g, a in grids:
+                if a is None:  # classical keeps no grid at index 0
+                    continue
+                h = hashlib.sha256()
+                for m in (a.rows, a.cols, a.vals):
+                    _hash_array(h, m)
+                for child, restrict, prolong in solver.children[g]:
+                    # the prolongation is the one matrix or array the closure holds
+                    for cell in prolong.__closure__:
+                        p = cell.cell_contents
+                        if isinstance(p, SparseMatrix):
+                            h.update(repr(p.shape).encode())
+                            for m in (p.rows, p.cols, p.vals):
+                                _hash_array(h, m)
+                        elif isinstance(p, np.ndarray):
+                            _hash_array(h, p)
+                    r = np.random.default_rng(k).standard_normal(a.nrows)
+                    _hash_array(h, restrict(r))
+                yield f"operators/k{k}/{name}/{str(g).replace(' ', '')}", h.hexdigest()
+            del solver
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -107,6 +153,8 @@ def main(argv=None):
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest} {path.relative_to(out).as_posix()}")
+    for name, digest in operator_digests():
+        print(f"{digest} {name}")
 
 
 if __name__ == "__main__":
