@@ -7,16 +7,22 @@ pair-aggregation prolongations with orthonormal columns, so coarsening one
 dimension at a time is an exact Galerkin identity and the recursive solver
 can semicoarsen along either factor.
 
-All solvers run one Galerkin gamma-cycle recursion: smooth, restrict,
-recurse gamma times, prolong, combine, smooth.  Each supplies its grids (an
-operator per grid and, per grid, the coarser grids correcting it with their
-restriction and prolongation), its coarsest-grid rule (one exact sweep or
-full smoothing) and how corrections combine (a plain sum or energy-optimal
-weights).  Every visit smooths with one sweep before its coarse
-corrections and one after.  Work is counted in smoothing units, charged
-where each sweep runs: one sweep costs the nonzero count of its matrix;
-transfers are free; ``cycle_cost`` recomputes it analytically as the
-check.  All solvers are free of randomness, so traces are bit-reproducible.
+All solvers run one Galerkin gamma-cycle: smooth, restrict, run the coarser
+grids gamma times, prolong, combine, smooth.  Each supplies its grids (an
+operator per grid and, per grid, the coarser grids correcting it, with their
+prolongations as data), its coarsest-grid rule (one exact sweep or full
+smoothing) and how corrections combine (a plain sum or energy-optimal
+weights).  Work is counted in smoothing units, charged where each sweep
+runs: one sweep costs the nonzero count of its matrix; transfers are free;
+``cycle_cost`` recomputes it analytically as the check.  All solvers are
+free of randomness, so traces are bit-reproducible.
+
+The cycle runs one depth at a time: all visits to a grid sit at one depth
+(2k - l1 - l2 for the recursive solver's grid (l1, l2)) and read only their
+parents' residuals, so one pass pre-smooths them as the columns of one
+batch, restricts them into the next depth's batches, runs that depth gamma
+times, then prolongs, combines and post-smooths them.  A depth's coarse
+batch runs in chunks of at most ``chunk_elements`` values.
 
 The smoother is forward lexicographic Gauss-Seidel, run by wavefronts (level
 scheduling): a row waits only for the rows it shares an entry with and
@@ -28,8 +34,10 @@ built on the first sweep of a matrix and cached on it.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,21 +173,20 @@ def export_problem(problem, directory):
     directory.mkdir(parents=True, exist_ok=True)
     write_matrix_market(directory / "A.mtx", problem.A, symmetric=True)
     with open(directory / "b.txt", "w") as fh:
-        for value in problem.b:
-            fh.write(f"{float(value)!r}\n")
+        fh.write("".join(f"{v!r}\n" for v in problem.b.tolist()))
 
 
 def _wavefront_schedule(a):
-    """The sweep order of ``gauss_seidel`` for square ``a``: (order, diag,
-    cols, vals, groups).
+    """The sweep order of ``gauss_seidel`` for square ``a``: (order, groups).
 
     Every stored off-diagonal (i, j) makes row max(i, j) wait for row
     min(i, j); a row's wavefront is the longest chain of such waits ending
     at it, found by one frontier (Kahn) pass.  Rows are ordered by
-    wavefront, then row length, then index; ``diag``, ``cols`` (remapped to
-    that order) and ``vals`` follow it, each row's entries kept in column
-    order.  ``groups`` lists each run of one wavefront and one length as
-    (first row, end row, first entry, end entry, length).
+    wavefront, then row length, then index; each row's entries are kept in
+    column order, with columns remapped to that order.  ``groups`` holds the
+    operands of each run of m rows of one wavefront and length L: (rows,
+    diag, cols, vals of shape (m, 1, L), gather shape (m, L, 1)), or for one
+    row (index, diagonal value, cols, vals, (L, 1)).
     """
     n = a.nrows
     diag = a.diagonal()
@@ -208,63 +215,102 @@ def _wavefront_schedule(a):
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     entries = _segments(indptr[order], indptr[order + 1])
+    diag, cols, vals = diag[order], rank[a.cols[entries]], a.vals[entries]
     new_group = np.ones(n, dtype=bool)
     new_group[1:] = (wave[1:] != wave[:-1]) | (length[1:] != length[:-1])
     row_cut = np.append(np.flatnonzero(new_group), n)
     entry_cut = np.append(0, np.cumsum(length))[row_cut]
     rc, ec = row_cut.tolist(), entry_cut.tolist()
-    groups = list(zip(rc[:-1], rc[1:], ec[:-1], ec[1:], length[row_cut[:-1]].tolist()))
-    return order, diag[order], rank[a.cols[entries]], a.vals[entries], groups
+    groups = []
+    for r0, r1, e0, e1, size in zip(rc[:-1], rc[1:], ec[:-1], ec[1:], length[row_cut[:-1]].tolist()):
+        m, c, v = r1 - r0, cols[e0:e1], vals[e0:e1]
+        groups.append((r0, diag[r0], c, v, (size, 1)) if m == 1 else
+                      (slice(r0, r1), diag[r0:r1], c, v.reshape(m, 1, size), (m, size, 1)))
+    return order, groups
 
 
 def gauss_seidel(a, x, b, sweeps=1):
-    """Forward lexicographic Gauss-Seidel sweeps; returns a new vector.
+    """Forward lexicographic Gauss-Seidel sweeps on x and b of shape (n,), or
+    (B, n) for B independent systems; returns a new array.
 
     Rows run wavefront by wavefront (level scheduling, see
-    ``_wavefront_schedule``), and each group of one wavefront and one row
-    length is one gather and one batched row-times-column matmul; a group of
-    one row takes a plain dot, which rounds the same.  The order is exact
-    for any pattern: no entry joins two rows of one wavefront, and a row's
-    neighbours of lower index sit in earlier wavefronts and those of higher
-    index in later ones, so each row reads updated and old values exactly
-    as the row-by-row sweep does.  Each dot runs over the row's own entries
-    in column order, never padded, since a padded zero term can flip the
-    sign of a zero.  The schedule, with the diagonal and its zero check, is
-    built on the first call for a matrix and cached on it.
+    ``_wavefront_schedule``); each group of one wavefront and one row length
+    is one contiguous gather (a strided operand can round differently) and
+    one stacked row-times-column matmul over its rows and the batch; with
+    one column, a one-row group takes a plain dot, which rounds the same.
+    No entry joins two rows of one wavefront, and a row's neighbours of
+    lower (higher) index sit in earlier (later) wavefronts, so each row
+    reads updated and old values exactly as the row-by-row sweep does, for
+    any pattern.  Dots are never padded: a padded zero can flip a zero's
+    sign.  The schedule is built on a matrix's first sweep and cached on it.
     """
     if a.nrows != a.ncols:
         raise ValueError("gauss_seidel needs a square matrix")
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    for v in (x, b):
-        if v.shape != (a.nrows,):
-            raise ValueError(f"vector length {v.shape} incompatible with {a.shape}")
+    if x.shape != b.shape or x.ndim not in (1, 2) or x.shape[-1] != a.nrows:
+        raise ValueError(f"vector shapes {x.shape}, {b.shape} incompatible with {a.shape}")
     if a._sweep_cache is None:
         a._sweep_cache = _wavefront_schedule(a)
-    order, diag, cols, vals, groups = a._sweep_cache
-    x, b = x[order], b[order]
+    order, groups = a._sweep_cache
+    out = np.empty(x.shape)
+    if x.ndim == 2 and len(x) > 1:
+        y, c = x.take(order, axis=1), b.take(order, axis=1)
+        batch = (len(x),)
+        for _ in range(sweeps):
+            for rows, d, cols, vals, shape in groups:
+                dots = vals @ y.take(cols, axis=1).reshape(batch + shape)
+                y[:, rows] += (c[:, rows] - dots.reshape(batch + shape[:-2])) / d
+        out[:, order] = y
+        return out
+    y, c = x.reshape(-1)[order], b.reshape(-1)[order]
     for _ in range(sweeps):
-        for r0, r1, e0, e1, length in groups:
-            m = r1 - r0
-            if m == 1:  # a plain dot costs less per call on chain-like grids
-                x[r0] += (b[r0] - vals[e0:e1] @ x[cols[e0:e1]]) / diag[r0]
-                continue
-            dots = vals[e0:e1].reshape(m, 1, length) @ x[cols[e0:e1]].reshape(m, length, 1)
-            x[r0:r1] += (b[r0:r1] - dots.reshape(m)) / diag[r0:r1]
-    out = np.empty_like(x)
-    out[order] = x
+        for rows, d, cols, vals, shape in groups:
+            if type(rows) is int:  # a plain dot costs less per call on chain-like grids
+                y[rows] += (c[rows] - vals @ y.take(cols)) / d
+            else:
+                y[rows] += (c[rows] - (vals @ y.take(cols).reshape(shape)).reshape(-1)) / d
+    out.reshape(-1)[order] = y
     return out
 
 
+class _Child(NamedTuple):
+    """A coarser grid and its prolongation p: sparse (axis None), or one 2D
+    tensor factor's dense p along that axis.  Transfers map (columns, n)."""
+
+    grid: object
+    p: object
+    axis: object = None
+
+    def restrict(self, r):
+        p, batch = self.p, len(r)
+        if self.axis is not None:
+            return self._along_axis(p.T, r)
+        # p.T @ r without the transpose, summed in the same (row) order
+        bins = p.cols if batch == 1 else (p.cols + p.ncols * np.arange(batch)[:, None]).ravel()
+        terms = (p.vals * r.take(p.rows, axis=1)).ravel()
+        return np.bincount(bins, terms, batch * p.ncols).reshape(batch, p.ncols)
+
+    def prolong(self, c):
+        return self.p @ c if self.axis is None else self._along_axis(self.p, c)
+
+    def _along_axis(self, q, x):
+        """Dense q applied along this child's axis of every column of x."""
+        if self.axis == 0:
+            return (q @ x.reshape(len(x), q.shape[1], -1)).reshape(len(x), -1)
+        return (x.reshape(len(x), -1, q.shape[1]) @ q.T).reshape(len(x), -1)
+
+
 class _GalerkinCycle:
-    """The cycle recursion of the module docstring over ``ops[g]``, the
-    operator of grid g, and ``children[g]``, its (child, restrict, prolong)
-    entries."""
+    """The cycle of the module docstring over ``ops[g]``, the operator of
+    grid g, and ``children[g]``, the ``_Child`` entries correcting it."""
 
     # one sweep on a grid without children: an exact solve on the 1x1
     # coarsest grids, and the whole cycle of the plain Gauss-Seidel baseline
     coarsest_exact = True
     energy_weights = False  # a plain sum of the corrections otherwise
+    # values in one chunk of a depth's coarse batch: bounds the live columns
+    chunk_elements = 1 << 16
 
     def __init__(self, problem, spec, top, ops, children):
         self.problem = problem
@@ -275,58 +321,76 @@ class _GalerkinCycle:
         self.cycle_cost = float(self._cost(top, {}))
 
     def _cost(self, g, memo):
-        """Analytic work of one visit to grid g, the check on what _visit charges."""
+        """Analytic work of one visit to grid g, the check on what _pass charges."""
         if g not in memo:
             a, children = self.ops[g], self.children[g]
             if not children and self.coarsest_exact:
                 memo[g] = a.nnz
             else:
-                below = sum(self._cost(child, memo) for child, _, _ in children)
+                below = sum(self._cost(child.grid, memo) for child in children)
                 memo[g] = 2 * a.nnz + self.spec.gamma * below
         return memo[g]
 
-    def _visit(self, g, x, b):
-        a, children = self.ops[g], self.children[g]
-        if not children and self.coarsest_exact:
-            return gauss_seidel(a, x, b), float(a.nnz)
-        x = gauss_seidel(a, x, b)
-        work = float(a.nnz)
-        r = b - a @ x
-        corrections = []
-        for child, restrict, prolong in children:
-            rc = restrict(r)
-            c = np.zeros(rc.size)
+    def _pass(self, batch):
+        """Visit every column of one depth, ``batch`` = {g: (X, B)} of shape
+        (columns, n_g); returns the cycled {g: X} and the work charged."""
+        out, work, held, coarse = {}, 0, [], {}
+        for g, (x, b) in batch.items():
+            a, children = self.ops[g], self.children[g]
+            x = gauss_seidel(a, x, b)
+            work += a.nnz * len(x)
+            if not children and self.coarsest_exact:
+                out[g] = x
+                continue
+            r = b - a @ x
+            # where this grid's columns start in each child's batch
+            starts = [sum(map(len, coarse.setdefault(child.grid, []))) for child in children]
+            for child in children:
+                coarse[child.grid].append(child.restrict(r))
+            held.append((g, x, b, r, starts))
+        rhs = {c: np.concatenate(p) if len(p) > 1 else p[0] for c, p in coarse.items()}
+        del coarse
+        sol = {c: np.zeros(f.shape) for c, f in rhs.items()}
+        for chunk in self._chunks(rhs):
             for _ in range(self.spec.gamma):
-                c, w = self._visit(child, c, rc)
+                done, w = self._pass({c: (sol[c][s], rhs[c][s]) for c, s in chunk.items()})
                 work += w
-            corrections.append(prolong(c))
-        if self.energy_weights:
-            x = x + _energy_optimal_combination(a, r, corrections)
-        else:
-            x = sum(corrections, x)
-        return gauss_seidel(a, x, b), work + a.nnz
+                for c, s in chunk.items():
+                    sol[c][s] = done[c]
+        for g, x, b, r, starts in held:
+            a = self.ops[g]
+            corrections = [child.prolong(sol[child.grid][i:i + len(x)])
+                           for child, i in zip(self.children[g], starts)]
+            if self.energy_weights:
+                x = x + _energy_optimal_combination(a, r, corrections)
+            else:
+                x = sum(corrections, x)
+            out[g] = gauss_seidel(a, x, b)
+            work += a.nnz * len(x)
+        return out, work
+
+    def _chunks(self, rhs):
+        """{grid: column slice} runs of rhs of at most ``chunk_elements`` values, or one column."""
+        chunk, room = {}, self.chunk_elements
+        for g, f in rhs.items():
+            width, start = max(f.shape[1], 1), 0
+            while start < len(f):
+                if chunk and room < width:
+                    yield chunk
+                    chunk, room = {}, self.chunk_elements
+                stop = min(len(f), start + max(room // width, 1))
+                chunk[g] = slice(start, stop)
+                room -= (stop - start) * width
+                start = stop
+        if chunk:
+            yield chunk
 
     def cycle(self, x):
-        return self._visit(self.top, x, self.problem.b)
+        out, work = self._pass({self.top: (np.asarray(x)[None], self.problem.b[None])})
+        return out[self.top][0], float(work)
 
     def residual(self, x):
         return float(np.linalg.norm(self.problem.b - self.problem.A @ x))
-
-
-def _sparse_child(child, p, pt):
-    """A coarser grid reached through prolongation p and restriction pt = p.T,
-    transposed once at set-up rather than on every restriction."""
-    return child, lambda r: pt @ r, lambda c: p @ c
-
-
-def _factor_child(child, p, axis):
-    """A grid coarsened along one axis of a 2D tensor grid by that factor's
-    dense prolongation p."""
-    if axis == 0:
-        return (child, lambda r: (p.T @ r.reshape(p.shape[0], -1)).ravel(),
-                lambda c: (p @ c.reshape(p.shape[1], -1)).ravel())
-    return (child, lambda r: (r.reshape(-1, p.shape[0]) @ p).ravel(),
-            lambda c: (c.reshape(-1, p.shape[1]) @ p.T).ravel())
 
 
 class GaussSeidelIteration(_GalerkinCycle):
@@ -347,9 +411,8 @@ class ClassicalMultigrid(_GalerkinCycle):
         ops, children = [None] * problem.k + [problem.A], [[] for _ in range(problem.k + 1)]
         for i in range(problem.k - 1, 0, -1):
             p2 = kron(pro1[i - 1], pro1[i - 1])
-            p2t = p2.T
-            ops[i] = p2t @ ops[i + 1] @ p2
-            children[i + 1] = [_sparse_child(i, p2, p2t)]
+            ops[i] = p2.T @ ops[i + 1] @ p2
+            children[i + 1] = [_Child(i, p2)]
         super().__init__(problem, cycle, problem.k, ops, children)
 
 
@@ -382,11 +445,8 @@ class RecursiveSkeletal(_GalerkinCycle):
         order += [(l1, l2) for l1 in range(1, k + 1) for l2 in range(k - 1, 0, -1)]
         for l1, l2 in order:
             ops[l1, l2] = kron_sum(ops1[l1 - 1], ops2[l2 - 1])
-            children[l1, l2] = []
-            if l1 > 1:
-                children[l1, l2].append(_factor_child((l1 - 1, l2), p1[l1 - 1], 0))
-            if l2 > 1:
-                children[l1, l2].append(_factor_child((l1, l2 - 1), p2[l2 - 1], 1))
+            coarser = (_Child((l1 - 1, l2), p1[l1 - 1], 0), _Child((l1, l2 - 1), p2[l2 - 1], 1))
+            children[l1, l2] = [child for child in coarser if child.p is not None]
         super().__init__(problem, cycle, (k, k), ops, children)
 
 
@@ -412,32 +472,38 @@ class LevelwiseSkeletal(_GalerkinCycle):
             ops[L] = a
             if p is not None:
                 self.transfer[L] = _renormalize_columns(p)
-                children[L] = [_sparse_child(L - 1, self.transfer[L], self.transfer[L].T)]
+                children[L] = [_Child(L - 1, self.transfer[L])]
         super().__init__(problem, cycle, 2 * k, ops, children)
 
 
 def _energy_optimal_combination(a, r, corrections):
     """Combination of candidate corrections minimizing the energy norm of the
-    remaining error: solve the small Gram system (d_i, A d_j) alpha = (d_i, r).
-    Degenerate directions fall back to equal weights."""
+    remaining error, per column of r and corrections, (n,) or (B, n): solve
+    the small Gram system (d_i, A d_j) alpha = (d_i, r).  Degenerate columns
+    fall back to equal weights."""
     if not corrections:
         return 0.0
-    applied = [a @ d for d in corrections]
+    n = r.shape[-1]
+    # stacked (B, 1, n) @ (B, n, 1) dots round like one dot per column
+    rows = [d.reshape(-1, 1, n) for d in corrections]
+    applied = [(a @ d.reshape(-1, n)).reshape(-1, n, 1) for d in corrections]
+    rhs = np.concatenate([d @ r.reshape(-1, n, 1) for d in rows], axis=1)
+    gram = np.block([[d @ ad for ad in applied] for d in rows])
     if len(corrections) == 1:
         # the 1x1 system in closed form; LAPACK's solve rounds it the same way
-        g = corrections[0] @ applied[0]
-        alpha = [(corrections[0] @ r) / g if g != 0.0 else 1.0]
+        alpha = np.divide(rhs, gram, out=np.ones_like(gram), where=gram != 0.0)
     else:
-        gram = np.array([[di @ adj for adj in applied] for di in corrections])
-        rhs = np.array([d @ r for d in corrections])
         try:
             alpha = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            alpha = np.full(len(corrections), 1.0 / len(corrections))
-    out = np.zeros_like(corrections[0])
-    for coeff, d in zip(alpha, corrections):
-        out += coeff * d
-    return out
+        except np.linalg.LinAlgError:  # a singular column fails the batch: solve each alone
+            alpha = np.full_like(rhs, 1.0 / len(corrections))
+            for j in range(len(gram)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    alpha[j] = np.linalg.solve(gram[j], rhs[j])
+    out = np.zeros((len(alpha), n))
+    for i, d in enumerate(corrections):
+        out += alpha[:, i] * d.reshape(-1, n)
+    return out.reshape(r.shape)
 
 
 def _renormalize_columns(p):

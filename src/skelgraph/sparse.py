@@ -199,12 +199,17 @@ class SparseMatrix:
     __rmul__ = __mul__
 
     def matvec(self, x):
+        """self @ x for x of shape (ncols,) or (B, ncols); each row sums its
+        terms in entry order, so a batch rounds like one call per vector."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ncols,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.ncols:
             raise ValueError(f"vector length {x.shape} incompatible with {self.shape}")
-        y = np.zeros(self.nrows)
-        np.add.at(y, self.rows, self.vals * x[self.cols])
-        return y
+        batch = 1 if x.ndim == 1 else len(x)
+        # one flat add.at, with each vector's rows offset into its own slot
+        rows = self.rows if batch == 1 else (self.rows + self.nrows * np.arange(batch)[:, None]).ravel()
+        y = np.zeros(batch * self.nrows)
+        np.add.at(y, rows, (self.vals * x.take(self.cols, axis=-1)).ravel())
+        return y.reshape(x.shape[:-1] + (self.nrows,))
 
     def matmul(self, other):
         if self.ncols != other.nrows:
@@ -450,17 +455,19 @@ def write_matrix_market(path, m, symmetric=False):
 def read_matrix_market(path):
     """Read a coordinate Matrix Market file written by this package.
 
-    Accepted subset: coordinate real/integer, general/symmetric (lower
-    triangle stored), ``%`` comments after the header, then exactly ``nnz``
-    entry lines of three tokens (row, column, value).
+    Accepted subset: matrix coordinate real/integer, general/symmetric
+    (lower triangle stored), ``%`` comments after the header, then exactly
+    ``nnz`` entry lines of three tokens (row, column, value).  The banner's
+    keywords are case-insensitive, as the format (NIST IR 5935) specifies.
     """
     with open(path) as fh:
         header = fh.readline().strip().split()
-        if len(header) < 5 or header[0] != "%%MatrixMarket" or header[2] != "coordinate":
-            raise ValueError(f"{path}: not a coordinate Matrix Market file")
-        if header[3] not in ("real", "integer") or header[4] not in ("general", "symmetric"):
+        words = [w.lower() for w in header[1:5]]
+        if len(header) < 5 or header[0] != "%%MatrixMarket" or words[:2] != ["matrix", "coordinate"]:
+            raise ValueError(f"{path}: not a coordinate Matrix Market matrix file")
+        if words[2] not in ("real", "integer") or words[3] not in ("general", "symmetric"):
             raise ValueError(f"{path}: unsupported Matrix Market type {' '.join(header[3:5])}")
-        symmetric = header[4] == "symmetric"
+        symmetric = words[3] == "symmetric"
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()

@@ -130,8 +130,9 @@ def test_validate_flags_corruption(tmp_path):
     lambda text: text.replace("real symmetric", "real general", 1),
     lambda text: text.replace("\n8 7 1.0", "\n8 7 -1.0"),
     lambda text: text.replace("8 8 7\n", "8 9 7\n"),
+    lambda text: text.replace("matrix coordinate", "vector coordinate", 1),
 ], ids=["truncated", "pattern-header", "symmetric-upper-entry", "extra-entry", "index-out-of-range",
-        "general-lower-triangle", "negative-value", "non-square"])
+        "general-lower-triangle", "negative-value", "non-square", "vector-banner"])
 def test_validate_malformed_matrix_is_one_error_line(tmp_path, capsys, corrupt):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "3", "--out", str(src)])

@@ -239,6 +239,42 @@ def _random_operators(rng):
     yield SparseMatrix(0, 0)
 
 
+def test_batched_gauss_seidel_matches_one_call_per_column():
+    rng = np.random.default_rng(11)
+    operators = [*_solver_operators(), *_random_operators(rng)]
+    for t, a in enumerate(operators[::7] + operators[-3:]):
+        batch = 2 + t % 4
+        x, b = rng.standard_normal((batch, a.nrows)), rng.standard_normal((batch, a.nrows))
+        x[:, ::3] = -0.0  # signed zeros must survive the batch as they do one column at a time
+        x0, b0 = x.copy(), b.copy()
+        sweeps = 1 + t % 2
+        got = gauss_seidel(a, x, b, sweeps)
+        assert got.shape == x.shape
+        for j in range(batch):
+            assert got[j].tobytes() == gauss_seidel(a, x[j], b[j], sweeps).tobytes()
+        assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
+        # a batch of one column takes the single-column path, with its shape kept
+        one = gauss_seidel(a, x[:1], b[:1], sweeps)
+        assert one.shape == (1, a.nrows) and one[0].tobytes() == got[0].tobytes()
+    with pytest.raises(ValueError, match="incompatible"):
+        gauss_seidel(identity(3), np.zeros((2, 3)), np.zeros((3, 3)), 1)
+
+
+def test_batched_matvec_matches_one_call_per_column():
+    rng = np.random.default_rng(12)
+    matrices = [*_random_operators(rng), kron(identity(3), _loop_pair_prolongation(4)),
+                build_problem(4, 1).A, SparseMatrix(3, 5)]
+    for t, a in enumerate(matrices):
+        x = rng.standard_normal((1 + t % 5, a.ncols))
+        got = a @ x
+        assert got.shape == (len(x), a.nrows)
+        for j in range(len(x)):
+            assert got[j].tobytes() == (a @ x[j]).tobytes()
+    for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match="incompatible"):
+            identity(3) @ bad
+
+
 def test_wavefront_gauss_seidel_matches_row_loop():
     rng = np.random.default_rng(7)
     shapes = set()
@@ -313,7 +349,8 @@ def test_recursive_skeletal_coarsest_grid_smooths_only():
     solver = RecursiveSkeletal(prob)
     b = np.array([8.0])
     a11 = solver.ops[1, 1]
-    x, work = solver._visit((1, 1), np.zeros(1), b)
+    out, work = solver._pass({(1, 1): (np.zeros((1, 1)), b[None])})
+    x = out[1, 1][0]
     # two exact sweeps on the 1x1 system, no recursion
     assert work == 2 * a11.nnz
     assert x[0] == pytest.approx(b[0] / a11.diagonal()[0])
@@ -461,6 +498,107 @@ def test_energy_combination_matches_gram_solve_bit_for_bit():
     assert np.array_equal(kept, d) and not np.signbit(kept[3])
 
 
+def test_batched_energy_combination_matches_one_call_per_column():
+    rng = np.random.default_rng(6)
+    n, batch = 9, 5
+    m = rng.standard_normal((n, n))
+    spd = SparseMatrix.from_dense(m @ m.T + n * np.eye(n))
+    r = rng.standard_normal((batch, n))
+    for count in (1, 2):
+        corrections = [rng.standard_normal((batch, n)) for _ in range(count)]
+        # a zero column makes its Gram system singular, so the batched solve
+        # fails and every column is solved alone
+        for singular in (False, True):
+            if singular:
+                for d in corrections:
+                    d[2] = 0.0
+            got = multigrid._energy_optimal_combination(spd, r, corrections)
+            for j in range(batch):
+                want = _gram_solve_combination(spd, r[j], [d[j] for d in corrections])
+                assert got[j].tobytes() == want.tobytes()
+
+
+def _reference_restrict(child, r):
+    """The transfers as the per-visit cycle applied them, one vector at a time."""
+    p = child.p
+    if child.axis is None:
+        return p.T @ r
+    if child.axis == 0:
+        return (p.T @ r.reshape(p.shape[0], -1)).ravel()
+    return (r.reshape(-1, p.shape[0]) @ p).ravel()
+
+
+def _reference_prolong(child, c):
+    p = child.p
+    if child.axis is None:
+        return p @ c
+    if child.axis == 0:
+        return (p @ c.reshape(p.shape[1], -1)).ravel()
+    return (c.reshape(-1, p.shape[1]) @ p.T).ravel()
+
+
+def _sequential_visit(solver, g, x, b):
+    """One visit at a time down the cycle recursion, the byte reference for
+    the depth-by-depth pass."""
+    a, children = solver.ops[g], solver.children[g]
+    if not children and solver.coarsest_exact:
+        return gauss_seidel(a, x, b), float(a.nnz)
+    x = gauss_seidel(a, x, b)
+    work = float(a.nnz)
+    r = b - a @ x
+    corrections = []
+    for child in children:
+        rc = _reference_restrict(child, r)
+        c = np.zeros(rc.size)
+        for _ in range(solver.spec.gamma):
+            c, w = _sequential_visit(solver, child.grid, c, rc)
+            work += w
+        corrections.append(_reference_prolong(child, c))
+    if solver.energy_weights:
+        x = x + (_gram_solve_combination(a, r, corrections) if corrections else 0.0)
+    else:
+        x = sum(corrections, x)
+    return gauss_seidel(a, x, b), work + a.nnz
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_depth_pass_matches_sequential_recursion_bit_for_bit(k):
+    solvers = [*sorted(set(ALGORITHMS) - {"gauss_seidel"}), "skeletal_levelwise_w"]
+    for bc in (1, 2):
+        prob = build_problem(k, bc)
+        for name in solvers:
+            # a recursive W cycle visits ~4.6x more grids per step of k; its
+            # sequential reference takes seconds from k = 5 on
+            if name == "skeletal_recursive_w" and k > 4:
+                continue
+            solver = (LevelwiseSkeletal(prob, CycleSpec(gamma=2)) if name == "skeletal_levelwise_w"
+                      else make_solver(name, prob))
+            x = want = np.zeros(prob.n ** 2)
+            for _ in range(2 if k < 5 else 1):
+                want, want_work = _sequential_visit(solver, solver.top, want, prob.b)
+                # the default chunk size, then one column per chunk
+                for cap in (multigrid._GalerkinCycle.chunk_elements, 1):
+                    solver.chunk_elements = cap
+                    got, work = solver.cycle(x)
+                    assert got.tobytes() == want.tobytes(), (name, bc, cap)
+                    assert work == want_work == solver.cycle_cost
+                x = want
+
+
+def test_chunks_cover_each_column_once_within_the_budget():
+    solver = RecursiveSkeletal(build_problem(2, 1))
+    rhs = {"a": np.zeros((5, 7)), "b": np.zeros((3, 40)), "c": np.zeros((4, 2)), "d": np.zeros((2, 0))}
+    for budget in (1, 16, 50, 100, 10 ** 6):
+        solver.chunk_elements = budget
+        seen = {g: [] for g in rhs}
+        for chunk in solver._chunks(rhs):
+            size = sum((s.stop - s.start) * rhs[g].shape[1] for g, s in chunk.items())
+            assert size <= budget or sum(s.stop - s.start for s in chunk.values()) == 1
+            for g, s in chunk.items():
+                seen[g] += range(s.start, s.stop)
+        assert all(seen[g] == list(range(len(f))) for g, f in rhs.items())
+
+
 def test_w_cycle_variants_run():
     prob = build_problem(3, 1)
     for cls in (ClassicalMultigrid, RecursiveSkeletal):
@@ -514,6 +652,18 @@ def test_export_problem(tmp_path):
     assert read_matrix_market(tmp_path / "A.mtx") == prob.A
     values = [float(line) for line in (tmp_path / "b.txt").read_text().splitlines()]
     assert np.array_equal(values, prob.b)
+
+
+def test_export_problem_writes_b_as_the_per_line_writer_did(tmp_path):
+    from skelgraph.multigrid import export_problem
+
+    for bc in (1, 2):
+        prob = build_problem(3, bc)
+        export_problem(prob, tmp_path)
+        with open(tmp_path / "b_ref.txt", "w") as fh:
+            for value in prob.b:
+                fh.write(f"{float(value)!r}\n")
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "b_ref.txt").read_bytes()
 
 
 def test_benchmark_releases_each_solver_before_the_next(monkeypatch):

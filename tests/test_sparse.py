@@ -416,6 +416,23 @@ def test_matrix_market_rejects_pattern_header(tmp_path):
         read_matrix_market(path)
 
 
+def test_matrix_market_rejects_a_vector_banner(tmp_path):
+    path = tmp_path / "v.mtx"
+    path.write_text("%%MatrixMarket vector coordinate real general\n2 2 1\n1 2 1.0\n")
+    with pytest.raises(ValueError, match="v.mtx: not a coordinate Matrix Market matrix file"):
+        read_matrix_market(path)
+
+
+def test_matrix_market_banner_keywords_are_case_insensitive(tmp_path):
+    path = tmp_path / "u.mtx"
+    for banner in ("%%MatrixMarket MATRIX Coordinate REAL Symmetric",
+                   "%%MatrixMarket matrix coordinate Integer GENERAL"):
+        path.write_text(f"{banner}\n2 2 2\n1 1 4\n2 1 -1\n")
+        got = read_matrix_market(path)
+        want = [(0, 0, 4.0), (1, 0, -1.0)] + ([(0, 1, -1.0)] if "Symmetric" in banner else [])
+        assert got == SparseMatrix.from_entries(2, 2, want)
+
+
 @pytest.mark.parametrize("text, message", [
     ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n1 2 1.0\n",
      "symmetric file stores an entry above the diagonal"),

@@ -24,9 +24,9 @@ The runs:
   with the recursive W-cycle at k = 5 in its own file;
 - in memory, not as files: every grid operator and transfer that the five
   cycle solvers build at k = 2..7.  A grid's line hashes the triplet bytes
-  of its operator and, per coarser grid it corrects from, the prolongation
-  the solver holds (sparse triplets or dense array) and the restriction
-  applied to a fixed seeded vector.
+  of its operator and, per coarser grid it corrects from, the child entry's
+  prolongation ``p`` (sparse triplets or dense array) and the entry's
+  restriction applied to a fixed seeded vector.
 """
 
 from __future__ import annotations
@@ -123,18 +123,17 @@ def operator_digests():
                 h = hashlib.sha256()
                 for m in (a.rows, a.cols, a.vals):
                     _hash_array(h, m)
-                for child, restrict, prolong in solver.children[g]:
-                    # the prolongation is the one matrix or array the closure holds
-                    for cell in prolong.__closure__:
-                        p = cell.cell_contents
-                        if isinstance(p, SparseMatrix):
-                            h.update(repr(p.shape).encode())
-                            for m in (p.rows, p.cols, p.vals):
-                                _hash_array(h, m)
-                        elif isinstance(p, np.ndarray):
-                            _hash_array(h, p)
+                for child in solver.children[g]:
+                    p = child.p
+                    if isinstance(p, SparseMatrix):
+                        h.update(repr(p.shape).encode())
+                        for m in (p.rows, p.cols, p.vals):
+                            _hash_array(h, m)
+                    else:
+                        _hash_array(h, p)
+                    # the restriction as the cycle computes it, on a batch of one column
                     r = np.random.default_rng(k).standard_normal(a.nrows)
-                    _hash_array(h, restrict(r))
+                    _hash_array(h, child.restrict(r[None])[0])
                 yield f"operators/k{k}/{name}/{str(g).replace(' ', '')}", h.hexdigest()
             del solver
 
