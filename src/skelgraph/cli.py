@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Subcommands: gen, product, thicken, validate, export, cnn-structure, bench.
-Exit codes: 0 on success, 1 on usage errors, 2 on validation or oracle
-failures.  Lineages live on disk as a directory holding manifest.json plus
-one Matrix Market file per matrix.
+Exit codes: 0 on success, 1 on usage errors (bad arguments, missing
+paths), 2 on validation or oracle failures and malformed input files.
+Lineages live on disk as a directory holding manifest.json plus one Matrix
+Market file per matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import lineage as lin
 from . import skeletal as skel
 from .graphs import to_dot, to_edge_list
 from .multigrid import ALGORITHMS, run_benchmark
-from .sparse import write_matrix_market
+from .sparse import BadFileError, write_matrix_market
 
 USAGE_ERROR = 1
 CHECK_ERROR = 2
@@ -236,7 +237,7 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return CHECK_ERROR if isinstance(exc, BadFileError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

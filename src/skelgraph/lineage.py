@@ -23,6 +23,7 @@ import numpy as np
 
 from .graphs import Graph, complete_graph, loop_vertex, path_graph
 from .sparse import (
+    BadFileError,
     SparseMatrix,
     block_assemble,
     kron,
@@ -87,11 +88,7 @@ class GradedGraph:
     def __eq__(self, other):
         if not isinstance(other, GradedGraph):
             return NotImplemented
-        return (
-            self.levels == other.levels
-            and self.inter == other.inter
-            and self.prolong == other.prolong
-        )
+        return (self.levels, self.inter, self.prolong) == (other.levels, other.inter, other.prolong)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,27 +384,27 @@ def read_lineage(directory):
         try:
             manifest = json.load(fh)
         except ValueError as exc:
-            raise ValueError(f"{where}: not valid JSON ({exc})") from None
+            raise BadFileError(f"{where}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("metadata", {}), dict):
-        raise ValueError(f"{where}: the manifest and its metadata must be JSON objects")
+        raise BadFileError(f"{where}: the manifest and its metadata must be JSON objects")
     for key in ("levelFiles", "interFiles", "prolongFiles"):
         names = manifest.get(key)
         if not isinstance(names, list) or not all(
                 isinstance(f, str) and f not in ("", "..") and Path(f).name == f for f in names):
-            raise ValueError(f"{where}: {key} must be a list of file names in its directory")
+            raise BadFileError(f"{where}: {key} must be a list of file names in its directory")
     if manifest.get("numLevels") != len(manifest["levelFiles"]):
-        raise ValueError(f"{where}: numLevels is missing or disagrees with levelFiles")
+        raise BadFileError(f"{where}: numLevels is missing or disagrees with levelFiles")
     if len(manifest["interFiles"]) != max(len(manifest["levelFiles"]) - 1, 0):
-        raise ValueError(f"{where}: interFiles must name one map per consecutive level pair")
+        raise BadFileError(f"{where}: interFiles must name one map per consecutive level pair")
     if manifest["prolongFiles"] and len(manifest["prolongFiles"]) != len(manifest["interFiles"]):
-        raise ValueError(f"{where}: prolongFiles must be empty or parallel interFiles")
+        raise BadFileError(f"{where}: prolongFiles must be empty or parallel interFiles")
     levels = []
     for f in manifest["levelFiles"]:
         adj = read_matrix_market(directory / f)
         try:
             levels.append(Graph(adj))
         except ValueError as exc:  # name the file, as the reader's own errors do
-            raise ValueError(f"{directory / f}: {exc}") from None
+            raise BadFileError(f"{directory / f}: {exc}") from None
     inter = [read_matrix_market(directory / f) for f in manifest["interFiles"]]
     prolong = None
     if manifest["prolongFiles"]:

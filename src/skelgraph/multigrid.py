@@ -25,11 +25,8 @@ times, then prolongs, combines and post-smooths them.  A depth's coarse
 batch runs in chunks of at most ``chunk_elements`` values.
 
 The smoother is forward lexicographic Gauss-Seidel, run by wavefronts (level
-scheduling): a row waits only for the rows it shares an entry with and
-precedes, so each wavefront updates at once and every row still reads the
-values the row-by-row sweep would.  Rows of one wavefront and one length
-share one batched matmul, never padded to a common length; the schedule is
-built on the first sweep of a matrix and cached on it.
+scheduling), each one batched matmul over its rows padded at the front to
+a common width, yet bit-identical to the row-by-row sweep.
 """
 
 from __future__ import annotations
@@ -110,10 +107,9 @@ class WorkTrace:
 
 
 def _tridiagonal(n):
-    e = [(i, i, 2.0) for i in range(n)]
-    e += [(i, i + 1, -1.0) for i in range(n - 1)]
-    e += [(i + 1, i, -1.0) for i in range(n - 1)]
-    return SparseMatrix.from_entries(n, n, e)
+    i = np.arange(n)
+    return SparseMatrix(n, n, np.r_[i, i[:-1], i[1:]], np.r_[i, i[1:], i[:-1]],
+                        np.r_[np.full(n, 2.0), np.full(2 * n - 2, -1.0)])
 
 
 def _pair_prolongation(n_coarse):
@@ -176,17 +172,24 @@ def export_problem(problem, directory):
         fh.write("".join(f"{v!r}\n" for v in problem.b.tolist()))
 
 
+# the widest row padded into its wavefront's group: a dot of at most 15 entries rounds
+# like a fused multiply-add chain from 0.0, kept by a leading 0.0 * 0.0, not beyond
+_PAD_WIDTH = 8
+
+
 def _wavefront_schedule(a):
     """The sweep order of ``gauss_seidel`` for square ``a``: (order, groups).
 
     Every stored off-diagonal (i, j) makes row max(i, j) wait for row
     min(i, j); a row's wavefront is the longest chain of such waits ending
-    at it, found by one frontier (Kahn) pass.  Rows are ordered by
-    wavefront, then row length, then index; each row's entries are kept in
-    column order, with columns remapped to that order.  ``groups`` holds the
-    operands of each run of m rows of one wavefront and length L: (rows,
-    diag, cols, vals of shape (m, 1, L), gather shape (m, L, 1)), or for one
-    row (index, diagonal value, cols, vals, (L, 1)).
+    at it, found by one frontier (Kahn) pass.  A wavefront's rows of at most
+    ``_PAD_WIDTH`` entries form one group, each padded at the front to the
+    group's widest row with value 0.0 at column n (the sweep's held zero); a
+    longer row shares a group only with rows of its length.  Rows are
+    ordered by group, then index, with columns remapped to that order.
+    ``groups`` holds the operands of each group of m rows and width L:
+    (rows, diag, cols, vals of shape (m, 1, L), gather shape (m, L, 1)), or
+    for one row (index, diagonal value, cols, vals, (L, 1)).
     """
     n = a.nrows
     diag = a.diagonal()
@@ -210,22 +213,31 @@ def _wavefront_schedule(a):
         released, count = np.unique(released, return_counts=True)
         pending[released] -= count
         frontier, w = released[pending[released] == 0], w + 1
-    order = np.lexsort((length, wave))
-    wave, length = wave[order], length[order]
+    del off, early, late, by_early, release, pending  # lowers the build's peak
+    exact = np.where(length > _PAD_WIDTH, length, 0)  # 0: the wavefront's padded group
+    order = np.lexsort((exact, wave))
+    wave, exact = wave[order], exact[order]
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = (wave[1:] != wave[:-1]) | (exact[1:] != exact[:-1])
+    row_cut = np.append(np.flatnonzero(new_group), n)
+    width = np.maximum.reduceat(length[order], row_cut[:-1]) if n else length
+    size = np.diff(row_cut)
+    entry_cut = np.append(0, np.cumsum(width * size))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    entries = _segments(indptr[order], indptr[order + 1])
-    diag, cols, vals = diag[order], rank[a.cols[entries]], a.vals[entries]
-    new_group = np.ones(n, dtype=bool)
-    new_group[1:] = (wave[1:] != wave[:-1]) | (length[1:] != length[:-1])
-    row_cut = np.append(np.flatnonzero(new_group), n)
-    entry_cut = np.append(0, np.cumsum(length))[row_cut]
+    # each row's entries end its padded run; slot lists them in stored order
+    end = np.cumsum(np.repeat(width, size))[rank]
+    slot = _segments(end - length, end)
+    cols = np.full(entry_cut[-1], n)
+    cols[slot] = rank[a.cols]
+    vals = np.zeros(entry_cut[-1])
+    vals[slot], diag = a.vals, diag[order]
     rc, ec = row_cut.tolist(), entry_cut.tolist()
     groups = []
-    for r0, r1, e0, e1, size in zip(rc[:-1], rc[1:], ec[:-1], ec[1:], length[row_cut[:-1]].tolist()):
+    for r0, r1, e0, e1, L in zip(rc[:-1], rc[1:], ec[:-1], ec[1:], width.tolist()):
         m, c, v = r1 - r0, cols[e0:e1], vals[e0:e1]
-        groups.append((r0, diag[r0], c, v, (size, 1)) if m == 1 else
-                      (slice(r0, r1), diag[r0:r1], c, v.reshape(m, 1, size), (m, size, 1)))
+        groups.append((r0, diag[r0], c, v, (L, 1)) if m == 1 else
+                      (slice(r0, r1), diag[r0:r1], c, v.reshape(m, 1, L), (m, L, 1)))
     return order, groups
 
 
@@ -233,16 +245,16 @@ def gauss_seidel(a, x, b, sweeps=1):
     """Forward lexicographic Gauss-Seidel sweeps on x and b of shape (n,), or
     (B, n) for B independent systems; returns a new array.
 
-    Rows run wavefront by wavefront (level scheduling, see
-    ``_wavefront_schedule``); each group of one wavefront and one row length
+    Rows run by the groups of ``_wavefront_schedule``, one per wavefront
+    when no row holds more than ``_PAD_WIDTH`` entries.  No entry joins two
+    rows of one wavefront, and a row's neighbours of lower (higher) index
+    sit in earlier (later) wavefronts, so each row reads updated and old
+    values exactly as the row-by-row sweep does, for any pattern.  A group
     is one contiguous gather (a strided operand can round differently) and
-    one stacked row-times-column matmul over its rows and the batch; with
-    one column, a one-row group takes a plain dot, which rounds the same.
-    No entry joins two rows of one wavefront, and a row's neighbours of
-    lower (higher) index sit in earlier (later) wavefronts, so each row
-    reads updated and old values exactly as the row-by-row sweep does, for
-    any pattern.  Dots are never padded: a padded zero can flip a zero's
-    sign.  The schedule is built on a matrix's first sweep and cached on it.
+    one stacked row-times-column matmul over its rows and the batch (with
+    one column, a one-row group takes a plain dot, which rounds the same).
+    Its pads lead each row and gather slot n, held at 0.0: a dot of at most
+    15 entries is a fused multiply-add chain from +0.0, kept by 0.0 * 0.0.
     """
     if a.nrows != a.ncols:
         raise ValueError("gauss_seidel needs a square matrix")
@@ -253,24 +265,24 @@ def gauss_seidel(a, x, b, sweeps=1):
     if a._sweep_cache is None:
         a._sweep_cache = _wavefront_schedule(a)
     order, groups = a._sweep_cache
-    out = np.empty(x.shape)
+    n, out = a.nrows, np.empty(x.shape)
     if x.ndim == 2 and len(x) > 1:
-        y, c = x.take(order, axis=1), b.take(order, axis=1)
-        batch = (len(x),)
+        y = np.concatenate((x.take(order, axis=1), np.zeros((len(x), 1))), axis=1)
+        c, batch = b.take(order, axis=1), (len(x),)
         for _ in range(sweeps):
             for rows, d, cols, vals, shape in groups:
                 dots = vals @ y.take(cols, axis=1).reshape(batch + shape)
                 y[:, rows] += (c[:, rows] - dots.reshape(batch + shape[:-2])) / d
-        out[:, order] = y
+        out[:, order] = y[:, :n]
         return out
-    y, c = x.reshape(-1)[order], b.reshape(-1)[order]
+    y, c = np.append(x.reshape(-1)[order], 0.0), b.reshape(-1)[order]
     for _ in range(sweeps):
         for rows, d, cols, vals, shape in groups:
             if type(rows) is int:  # a plain dot costs less per call on chain-like grids
                 y[rows] += (c[rows] - vals @ y.take(cols)) / d
             else:
                 y[rows] += (c[rows] - (vals @ y.take(cols).reshape(shape)).reshape(-1)) / d
-    out.reshape(-1)[order] = y
+    out.reshape(-1)[order] = y[:n]
     return out
 
 
@@ -488,15 +500,16 @@ def _energy_optimal_combination(a, r, corrections):
     rows = [d.reshape(-1, 1, n) for d in corrections]
     applied = [(a @ d.reshape(-1, n)).reshape(-1, n, 1) for d in corrections]
     rhs = np.concatenate([d @ r.reshape(-1, n, 1) for d in rows], axis=1)
-    gram = np.block([[d @ ad for ad in applied] for d in rows])
-    if len(corrections) == 1:
+    m = len(corrections)
+    gram = np.concatenate([d @ ad for d in rows for ad in applied], axis=1).reshape(-1, m, m)
+    if m == 1:
         # the 1x1 system in closed form; LAPACK's solve rounds it the same way
         alpha = np.divide(rhs, gram, out=np.ones_like(gram), where=gram != 0.0)
     else:
         try:
             alpha = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:  # a singular column fails the batch: solve each alone
-            alpha = np.full_like(rhs, 1.0 / len(corrections))
+            alpha = np.full_like(rhs, 1.0 / m)
             for j in range(len(gram)):
                 with contextlib.suppress(np.linalg.LinAlgError):
                     alpha[j] = np.linalg.solve(gram[j], rhs[j])

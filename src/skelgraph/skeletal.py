@@ -59,9 +59,7 @@ __all__ = [
 
 
 def _as_fraction(rho):
-    if isinstance(rho, Fraction):
-        return rho
-    return Fraction(rho).limit_denominator(10 ** 6)
+    return rho if isinstance(rho, Fraction) else Fraction(rho).limit_denominator(10 ** 6)
 
 
 def _block_tables(tops, level_of, max_level):
@@ -76,12 +74,8 @@ def _block_tables(tops, level_of, max_level):
 
 def _partial_horizon(tops, level_of):
     """Smallest output level that could gain blocks from deeper factors."""
-    probes = []
-    for i, top in enumerate(tops):
-        lvec = [0] * len(tops)
-        lvec[i] = top + 1
-        probes.append(level_of(tuple(lvec)))
-    return min(probes)
+    n = len(tops)
+    return min(level_of(tuple(t + 1 if j == i else 0 for j in range(n))) for i, t in enumerate(tops))
 
 
 def _check_depth(max_level, deepest):

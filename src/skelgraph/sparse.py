@@ -38,7 +38,12 @@ __all__ = [
     "support_subset",
     "write_matrix_market",
     "read_matrix_market",
+    "BadFileError",
 ]
+
+
+class BadFileError(ValueError):
+    """A file read from disk that breaks the format this package writes."""
 
 
 class SparseMatrix:
@@ -464,9 +469,9 @@ def read_matrix_market(path):
         header = fh.readline().strip().split()
         words = [w.lower() for w in header[1:5]]
         if len(header) < 5 or header[0] != "%%MatrixMarket" or words[:2] != ["matrix", "coordinate"]:
-            raise ValueError(f"{path}: not a coordinate Matrix Market matrix file")
+            raise BadFileError(f"{path}: not a coordinate Matrix Market matrix file")
         if words[2] not in ("real", "integer") or words[3] not in ("general", "symmetric"):
-            raise ValueError(f"{path}: unsupported Matrix Market type {' '.join(header[3:5])}")
+            raise BadFileError(f"{path}: unsupported Matrix Market type {' '.join(header[3:5])}")
         symmetric = words[3] == "symmetric"
         line = fh.readline()
         while line.startswith("%"):
@@ -478,15 +483,15 @@ def read_matrix_market(path):
                 warnings.simplefilter("ignore", UserWarning)
                 rows, cols, vals = np.loadtxt(fh, "i8,i8,f8", comments=None, ndmin=1, unpack=True)
         except ValueError as exc:
-            raise ValueError(f"{path}: truncated or malformed size or entry line") from exc
+            raise BadFileError(f"{path}: truncated or malformed size or entry line") from exc
     if nnz < 0 or vals.size < nnz:
-        raise ValueError(f"{path}: truncated or malformed size or entry line")
+        raise BadFileError(f"{path}: truncated or malformed size or entry line")
     if vals.size > nnz:
-        raise ValueError(f"{path}: more entries than the declared {nnz}")
+        raise BadFileError(f"{path}: more entries than the declared {nnz}")
     if symmetric:
         # the format stores the lower triangle only; an upper entry would be mirrored twice
         if np.any(rows < cols):
-            raise ValueError(f"{path}: symmetric file stores an entry above the diagonal")
+            raise BadFileError(f"{path}: symmetric file stores an entry above the diagonal")
         off = rows != cols
         rows, cols = (
             np.concatenate([rows, cols[off]]),
@@ -497,4 +502,4 @@ def read_matrix_market(path):
         # indices on disk are 1-based
         return SparseMatrix(nrows, ncols, rows - 1, cols - 1, vals)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise BadFileError(f"{path}: {exc}") from exc

@@ -139,7 +139,7 @@ def test_validate_malformed_matrix_is_one_error_line(tmp_path, capsys, corrupt):
     capsys.readouterr()
     target = src / "level_03.mtx"
     target.write_text(corrupt(target.read_text()))
-    assert main(["validate", str(src)]) == 1
+    assert main(["validate", str(src)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "level_03.mtx" in err
     assert "Traceback" not in err and err.count("\n") == 1
@@ -152,7 +152,7 @@ def test_validate_manifest_level_count_mismatch_is_one_error_line(tmp_path, caps
     manifest = json.loads((src / "manifest.json").read_text())
     manifest["numLevels"] = 3
     (src / "manifest.json").write_text(json.dumps(manifest))
-    assert main(["validate", str(src)]) == 1
+    assert main(["validate", str(src)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "manifest.json" in err
     assert "Traceback" not in err and err.count("\n") == 1
@@ -183,10 +183,22 @@ def test_malformed_manifest_is_one_error_line(tmp_path, capsys, corrupt, command
         "validate": ["validate", str(src)],
         "product": ["product", "box", str(src), str(src), "--out", str(tmp_path / "out")],
     }[command]
-    assert main(argv) == 1
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "manifest.json" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_missing_lineage_paths_exit_one(tmp_path, capsys):
+    # a bad file exits 2, but a path that is not there is a usage error
+    src = tmp_path / "p"
+    main(["gen", "path", "--levels", "2", "--out", str(src)])
+    capsys.readouterr()
+    assert main(["validate", str(tmp_path / "absent")]) == 1
+    (src / "level_01.mtx").unlink()
+    assert main(["validate", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err and err.count("\n") == 2
 
 
 def test_validate_reports_inter_map_of_wrong_shape(tmp_path, capsys):

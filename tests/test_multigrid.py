@@ -239,19 +239,63 @@ def _random_operators(rng):
     yield SparseMatrix(0, 0)
 
 
+def _mixed_width_operators(rng):
+    """Matrices whose wavefronts each mix rows of 1, ``_PAD_WIDTH``,
+    ``_PAD_WIDTH + 1``, 16 to 40 and a few entries.  Tier 0 is 48 rows that
+    wait for nothing; a tier t row reads one row of tier t - 1 and others
+    before it, so it sits in wavefront t, and a one-entry row waits through
+    an entry above the diagonal in a row of tier t - 1."""
+    pad = multigrid._PAD_WIDTH
+    for _ in range(12):
+        rows, cols, prev = [np.arange(48)], [np.arange(48)], np.arange(48)
+        for _ in range(3):
+            start = prev[-1] + 1
+            lengths = rng.permutation([1, 1, pad, pad, pad + 1, *rng.integers(16, 41, 5),
+                                       *rng.integers(2, pad + 1, 4)])
+            tier = start + np.arange(lengths.size)
+            for i, length in zip(tier, lengths):
+                first = rng.choice(prev)
+                if length == 1:
+                    rows.append([i, first])
+                    cols.append([i, i])
+                else:
+                    rest = rng.choice(np.setdiff1d(np.arange(start), first), length - 2, replace=False)
+                    rows.append(np.full(length, i))
+                    cols.append(np.r_[i, first, rest])
+            prev = tier
+        r, c = np.concatenate(rows), np.concatenate(cols)
+        vals = np.where(r == c, rng.uniform(1.0, 3.0, r.size) * rng.choice([-1.0, 1.0], r.size),
+                        rng.standard_normal(r.size))
+        yield SparseMatrix(prev[-1] + 1, prev[-1] + 1, r, c, vals)
+
+
+def _signed_zeros(rng, x, b):
+    """x and b with -0.0 and +0.0 scattered in; every third draw all zeros."""
+    for v in (x, b):
+        v[..., rng.random(v.shape[-1]) < 0.3] = -0.0
+        v[..., rng.random(v.shape[-1]) < 0.1] = 0.0
+    if rng.integers(3) == 0:
+        x[...] = -0.0
+        b[..., rng.random(b.shape[-1]) < 0.8] = -0.0
+    return x, b
+
+
 def test_batched_gauss_seidel_matches_one_call_per_column():
     rng = np.random.default_rng(11)
     operators = [*_solver_operators(), *_random_operators(rng)]
-    for t, a in enumerate(operators[::7] + operators[-3:]):
+    mixed = list(_mixed_width_operators(rng))
+    for t, a in enumerate(operators[::7] + mixed + operators[-3:]):
         batch = 2 + t % 4
         x, b = rng.standard_normal((batch, a.nrows)), rng.standard_normal((batch, a.nrows))
         x[:, ::3] = -0.0  # signed zeros must survive the batch as they do one column at a time
+        x, b = _signed_zeros(rng, x, b)
         x0, b0 = x.copy(), b.copy()
         sweeps = 1 + t % 2
         got = gauss_seidel(a, x, b, sweeps)
         assert got.shape == x.shape
         for j in range(batch):
             assert got[j].tobytes() == gauss_seidel(a, x[j], b[j], sweeps).tobytes()
+            assert got[j].tobytes() == _row_loop_gauss_seidel(a, x[j], b[j], sweeps).tobytes()
         assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
         # a batch of one column takes the single-column path, with its shape kept
         one = gauss_seidel(a, x[:1], b[:1], sweeps)
@@ -278,9 +322,10 @@ def test_batched_matvec_matches_one_call_per_column():
 def test_wavefront_gauss_seidel_matches_row_loop():
     rng = np.random.default_rng(7)
     shapes = set()
-    for t, a in enumerate([*_solver_operators(), *_random_operators(rng)]):
+    operators = [*_solver_operators(), *_random_operators(rng), *_mixed_width_operators(rng)]
+    for t, a in enumerate(operators):
         shapes.add(a.shape)
-        x, b = rng.standard_normal(a.nrows), rng.standard_normal(a.nrows)
+        x, b = _signed_zeros(rng, rng.standard_normal(a.nrows), rng.standard_normal(a.nrows))
         x0, b0 = x.copy(), b.copy()
         sweeps = 1 + t % 3
         got = gauss_seidel(a, x, b, sweeps)
@@ -294,6 +339,22 @@ def test_wavefront_gauss_seidel_matches_row_loop():
     for _ in range(2):
         with pytest.raises(ValueError, match="nonzero diagonal"):
             gauss_seidel(singular, np.zeros(3), np.ones(3), 1)
+
+
+def test_wavefront_schedule_pads_short_rows_into_one_group_per_wavefront():
+    # the 63 x 63 grid of k=6 has 2 * 63 - 1 = 125 wavefronts
+    assert len(multigrid._wavefront_schedule(build_problem(6, 1).A)[1]) == 125
+    pad = multigrid._PAD_WIDTH
+    for a in _mixed_width_operators(np.random.default_rng(5)):
+        order, groups = multigrid._wavefront_schedule(a)
+        lengths = np.diff(a.csr()[0])[order]
+        for rows, _, cols, vals, shape in groups:
+            width, v, c = shape[-2], vals.reshape(-1, shape[-2]), cols.reshape(-1, shape[-2])
+            # pads (value 0.0 at the held slot n) lead each row, and only short rows get them
+            assert np.array_equal(v == 0.0, c == a.nrows)
+            assert np.array_equal((v != 0.0).sum(axis=1), np.atleast_1d(lengths[rows]))
+            assert np.all(np.diff((v != 0.0).astype(int), axis=1) >= 0)
+            assert width <= pad or np.all(lengths[rows] == width)
 
 
 def test_classical_cycle_reduces_residual_by_factor_two():

@@ -26,7 +26,10 @@ The runs:
   cycle solvers build at k = 2..7.  A grid's line hashes the triplet bytes
   of its operator and, per coarser grid it corrects from, the child entry's
   prolongation ``p`` (sparse triplets or dense array) and the entry's
-  restriction applied to a fixed seeded vector.
+  restriction applied to a fixed seeded vector;
+- in memory, one ``smoother/`` line per grid of those solvers: one
+  ``gauss_seidel`` sweep of the grid on a seeded batch holding signed zeros,
+  once for its first column alone (B = 1) and once for all three (B = 3).
 """
 
 from __future__ import annotations
@@ -107,9 +110,20 @@ def _hash_array(h, a):
     h.update(np.ascontiguousarray(a).tobytes())
 
 
+def smoother_digest(gauss_seidel, a, seed):
+    """sha256 of one sweep of grid a on a seeded (3, n) batch with signed zeros."""
+    x, b = np.random.default_rng(seed).standard_normal((2, 3, a.nrows))
+    x[:, ::3], b[:, 1::4] = -0.0, -0.0
+    h = hashlib.sha256()
+    _hash_array(h, gauss_seidel(a, x[:1], b[:1]))
+    _hash_array(h, gauss_seidel(a, x, b))
+    return h.hexdigest()
+
+
 def operator_digests():
-    """Yield (name, sha256) for every grid of the five cycle solvers at k = 2..7."""
-    from skelgraph.multigrid import build_problem, make_solver
+    """Yield (name, sha256) for every grid of the five cycle solvers at k = 2..7,
+    and one smoother line after each."""
+    from skelgraph.multigrid import build_problem, gauss_seidel, make_solver
     from skelgraph.sparse import SparseMatrix
 
     for k in range(2, 8):
@@ -134,7 +148,9 @@ def operator_digests():
                     # the restriction as the cycle computes it, on a batch of one column
                     r = np.random.default_rng(k).standard_normal(a.nrows)
                     _hash_array(h, child.restrict(r[None])[0])
-                yield f"operators/k{k}/{name}/{str(g).replace(' ', '')}", h.hexdigest()
+                grid = f"k{k}/{name}/{str(g).replace(' ', '')}"
+                yield f"operators/{grid}", h.hexdigest()
+                yield f"smoother/{grid}", smoother_digest(gauss_seidel, a, k)
             del solver
 
 
