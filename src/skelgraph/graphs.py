@@ -8,7 +8,6 @@ sums vanish and its spectrum is nonpositive for simple graphs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +28,12 @@ __all__ = [
     "strong_product",
     "laplacian",
     "degree_diagonal",
-    "jacobi_eigensystem",
+    "eigensystem",
     "to_dot",
     "to_edge_list",
 ]
 
-_JACOBI_MAX_ORDER = 256  # dense rotations cost O(n**3) per sweep
+_EIG_MAX_ORDER = 256  # bounds the dense n-by-n copy handed to the solver
 
 
 @dataclass(frozen=True)
@@ -140,56 +139,21 @@ def laplacian(g):
     return g.adj - degree_diagonal(g)
 
 
-def jacobi_eigensystem(m):
-    """Full eigensystem of a symmetric matrix by cyclic Jacobi rotations.
+def eigensystem(m):
+    """Full eigensystem of a symmetric matrix by LAPACK's symmetric solver.
 
-    Iterates sweeps in the round-robin order of Brent & Luk (1985), each
-    round rotating up to n // 2 disjoint pairs at once, until the
-    off-diagonal Frobenius norm is at most 1e-12 times the Frobenius norm
-    of the input.  Eigenvalues are returned ascending with their eigenvectors.
+    Hands a dense copy of m to ``numpy.linalg.eigh``, which raises
+    ``LinAlgError`` if it does not converge.  Eigenvalues are returned
+    ascending, each with a unit eigenvector; the vectors are orthonormal.
     """
     if m.nrows != m.ncols:
         raise ValueError("eigensystem requires a square matrix")
-    if m.nrows > _JACOBI_MAX_ORDER:
-        raise ValueError(f"matrix order {m.nrows} exceeds the cap {_JACOBI_MAX_ORDER}")
+    if m.nrows > _EIG_MAX_ORDER:
+        raise ValueError(f"matrix order {m.nrows} exceeds the cap {_EIG_MAX_ORDER}")
     if not m.is_symmetric():
         raise ValueError("eigensystem requires a symmetric matrix")
-    a = m.to_dense()
-    n = a.shape[0]
-    v = np.eye(n)
-    target = 1e-12 * np.linalg.norm(a)
-    off_mask = ~np.eye(n, dtype=bool)
-    # round r pairs the seats i + j = r mod (e - 1), e = n rounded up to even,
-    # and the seat left alone with seat e - 1: every pair p < q once a sweep
-    e = n + n % 2
-    seat = np.arange(e - 1)
-    rounds = []
-    for r in range(e - 1):
-        mate = (r - seat) % (e - 1)
-        mate[mate == seat] = e - 1
-        real = (seat < mate) & (mate < n)
-        rounds.append((seat[real], mate[real]))
-    for _ in range(60):
-        # measured on the off-diagonal entries themselves: subtracting the
-        # diagonal from the total Frobenius norm cancels catastrophically
-        off = math.sqrt(np.sum(a[off_mask] ** 2))
-        if off <= target:
-            break
-        for p, q in rounds:
-            live = a[p, q] != 0.0
-            p, q = p[live], q[live]
-            tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-            t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            # disjoint pairs commute: rotate a's columns, its rows (a.T's columns), v
-            for x in (a, a.T, v):
-                xp, xq = x[:, p], x[:, q]
-                x[:, p] = c * xp - s * xq
-                x[:, q] = s * xp + c * xq
-            a[p, q] = a[q, p] = 0.0
-    order = np.argsort(np.diag(a), kind="stable")
-    return [EigPair(float(a[i, i]), v[:, i].copy()) for i in order]
+    w, v = np.linalg.eigh(m.to_dense())
+    return [EigPair(float(x), v[:, i].copy()) for i, x in enumerate(w)]
 
 
 def to_edge_list(g):

@@ -11,8 +11,8 @@ from skelgraph.graphs import (
     cycle_graph,
     degree_diagonal,
     disjoint_union,
+    eigensystem,
     empty_graph,
-    jacobi_eigensystem,
     laplacian,
     loop_vertex,
     path_graph,
@@ -38,7 +38,7 @@ def random_graph(rng, n, density=0.4, self_loops=False):
 
 
 def spectrum(m):
-    return np.array([p.value for p in jacobi_eigensystem(m)])
+    return np.array([p.value for p in eigensystem(m)])
 
 
 def test_graph_validation():
@@ -129,19 +129,24 @@ def test_jacobi_examples():
 
 def test_jacobi_rejections():
     with pytest.raises(ValueError):
-        jacobi_eigensystem(SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)]))
+        eigensystem(SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)]))
     with pytest.raises(ValueError):
-        jacobi_eigensystem(SparseMatrix(300, 300))
+        eigensystem(SparseMatrix(300, 300))
 
 
 def test_jacobi_residuals_certify_pairs():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 8, density=0.5)
-    lap = laplacian(g)
-    dense = lap.to_dense()
-    for pair in jacobi_eigensystem(lap):
-        resid = np.max(np.abs(dense @ pair.vector - pair.value * pair.vector))
-        assert resid <= 1e-10 * max(1.0, np.max(np.abs(pair.vector)))
+    k4 = laplacian(complete_graph(4))  # eigenvalue -4 with multiplicity three
+    for lap in (laplacian(g), k4):
+        dense = lap.to_dense()
+        pairs = eigensystem(lap)
+        for pair in pairs:
+            resid = np.max(np.abs(dense @ pair.vector - pair.value * pair.vector))
+            assert resid <= 1e-10 * max(1.0, np.max(np.abs(pair.vector)))
+        v = np.column_stack([pair.vector for pair in pairs])
+        assert np.max(np.abs(v.T @ v - np.eye(lap.nrows))) <= 1e-12
+    assert np.allclose(spectrum(k4), [-4.0, -4.0, -4.0, 0.0], atol=1e-12)
 
 
 def test_box_laplacian_identity_exact():
@@ -168,8 +173,8 @@ def test_box_eigenvector_outer_products():
     g1 = random_graph(rng, 4, density=0.6)
     g2 = random_graph(rng, 3, density=0.6)
     lap = laplacian(box_product(g1, g2)).to_dense()
-    for p1 in jacobi_eigensystem(laplacian(g1)):
-        for p2 in jacobi_eigensystem(laplacian(g2)):
+    for p1 in eigensystem(laplacian(g1)):
+        for p2 in eigensystem(laplacian(g2)):
             v = np.kron(p1.vector, p2.vector)
             assert np.max(np.abs(lap @ v - (p1.value + p2.value) * v)) <= 1e-9
 

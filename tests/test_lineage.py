@@ -1,9 +1,11 @@
 """Generators, validation, flat assembly, growth accounting, and disk format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from skelgraph.graphs import Graph, path_graph
+from skelgraph.graphs import Graph, empty_graph, path_graph
 from skelgraph.lineage import (
     GradedGraph,
     assemble_flat,
@@ -76,6 +78,31 @@ def test_validate_reports_orthonormality_deviation():
     bad = GradedGraph(gg.levels, gg.inter, (gg.inter[0].scale(2.0 ** 0.5),))
     diag = validate(bad)
     assert any("not orthonormal" in msg and "3.000e+00" in msg for msg in diag.issues)
+    # the sparse check reports what the dense max |P^T P - I| gives; half's
+    # second column is empty, so its Gram stores no (1, 1) entry
+    gg = path_lineage(2)
+    half = SparseMatrix.from_entries(4, 2, [(0, 0, 2 ** -0.5), (1, 0, 2 ** -0.5)])
+    for p in (half, gg.prolong[1].scale(0.5), SparseMatrix(4, 2)):
+        dense = float(np.max(np.abs((p.T @ p).to_dense() - np.eye(2))))
+        diag = validate(GradedGraph(gg.levels, gg.inter, (gg.prolong[0], p)))
+        want = f"prolongation 1->2 columns not orthonormal, max deviation {dense:.3e}"
+        assert diag.issues == [want]
+    # an empty coarse level has no columns to check
+    empty = SparseMatrix(2, 0)
+    assert validate(GradedGraph([empty_graph(0), path_graph(2)], [empty], (empty,))).ok
+
+
+def test_validate_never_forms_a_dense_gram():
+    # the dense 4096 x 4096 Gram of the top prolongation alone is 128 MB
+    gg = path_lineage(13)
+    tracemalloc.start()
+    try:
+        diag = validate(gg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.ok
+    assert peak < 16 * 2 ** 20
 
 
 def test_validate_reports_bad_dimensions():

@@ -139,6 +139,21 @@ def test_skeletal_box_blocks_are_box_products():
     assert square.sum() == 8 and np.array_equal(square, square.T)
 
 
+def test_codec_rejects_out_of_range_vertices():
+    codec = skeletal_box(path_lineage(2), path_lineage(2)).meta["codec"][2]
+    assert codec.blocks == ((0, 2), (1, 1), (2, 0)) and codec.total == 12
+    assert codec.rank((0, 2), (0, 3)) == 3 and codec.unrank(11) == ((2, 0), (3, 0))
+    with pytest.raises(ValueError):
+        codec.rank((0, 2), (0, 7))  # past block (0, 2), into block (1, 1)
+    with pytest.raises(ValueError):
+        codec.rank((1, 1), (0, -1))
+    for v in (-1, 12):
+        with pytest.raises(ValueError):
+            codec.unrank(v)
+    with pytest.raises(KeyError):
+        codec.rank((3, 3), (0, 0))
+
+
 def test_skeletal_box_levels_disconnect_across_blocks():
     gg = path_lineage(3)
     prod = skeletal_box(gg, gg)

@@ -18,6 +18,9 @@ The runs:
   ``--weights prolong``;
 - ``product nway-hat|nway-tilde`` on three factors, ``product dilated`` at
   two rate/kind pairs, ``thicken`` and ``cnn-structure``;
+- ``validate`` on every lineage directory those runs write, one
+  ``validate/<dir>`` line hashing its exit code and report, since the
+  listing otherwise discards CLI stdout;
 - ``export_problem`` (``A.mtx`` and ``b.txt``) at k = 2..6, bc 1 and 2,
   since no CLI path writes b;
 - the ``run_benchmark`` CSV of all six algorithms at k = 2..5, bc 1 and 2,
@@ -50,9 +53,16 @@ CYCLE_SOLVERS = ("classical_mg_v", "classical_mg_w", "skeletal_recursive_v",
                  "skeletal_recursive_w", "skeletal_levelwise_v")
 
 
-def _cli(main, *argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(main, *argv):
+    """Exit code and stdout of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _cli(main, *argv):
+    code, _ = _run(main, *argv)
     if code != 0:
         sys.exit(f"error: skelgraph {' '.join(argv)} exited {code}")
 
@@ -103,6 +113,17 @@ def write_outputs(out):
             for suffix, algorithms in runs.items():
                 trace = run_benchmark(k, bc, algorithms, budget)
                 (bench / f"k{k}_bc{bc}{suffix}.csv").write_text(trace.to_csv())
+
+
+def validate_digests(out):
+    """Yield (name, sha256) of ``validate``'s exit code and report for every
+    lineage directory under out."""
+    from skelgraph.cli import main
+
+    for manifest in sorted(out.rglob("manifest.json")):
+        code, report = _run(main, "validate", str(manifest.parent))
+        digest = hashlib.sha256(f"{code}\n{report}".encode()).hexdigest()
+        yield f"validate/{manifest.parent.relative_to(out).as_posix()}", digest
 
 
 def _hash_array(h, a):
@@ -168,6 +189,8 @@ def main(argv=None):
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest} {path.relative_to(out).as_posix()}")
+        for name, digest in validate_digests(out):
+            print(f"{digest} {name}")
     for name, digest in operator_digests():
         print(f"{digest} {name}")
 
