@@ -207,7 +207,7 @@ def validate(gg):
             dev = float(np.max(np.abs(gram.vals - on_diag), initial=0.0))
             if np.count_nonzero(on_diag) < sizes[l]:
                 dev = max(dev, 1.0)
-            if dev > ORTHONORMAL_TOL:
+            if not dev <= ORTHONORMAL_TOL:  # a NaN deviation fails too
                 issues.append(
                     f"prolongation {l}->{l + 1} columns not orthonormal, "
                     f"max deviation {dev:.3e}"

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .skeletal import _product_levels
-from .sparse import SparseMatrix, _segments, kron, kron_sum, write_matrix_market
+from .sparse import SparseMatrix, _repr_rows, _segments, kron, kron_sum, write_matrix_market
 
 __all__ = [
     "CycleSpec",
@@ -168,8 +168,9 @@ def export_problem(problem, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_matrix_market(directory / "A.mtx", problem.A, symmetric=True)
-    with open(directory / "b.txt", "w") as fh:
-        fh.write("".join(f"{v!r}\n" for v in problem.b.tolist()))
+    lines = _repr_rows(problem.b)
+    with open(directory / "b.txt", "wb") as fh:
+        fh.write(lines[lines != 0])
 
 
 # the widest row padded into its wavefront's group: a dot of at most 15 entries rounds

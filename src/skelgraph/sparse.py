@@ -13,6 +13,11 @@ does it sort them, stably, and sum each key's duplicates in input order.
 ``block_assemble``, ``submatrix``, ``scale`` and ``pattern`` emit their
 entries in canonical order, so they never reach that sort; ``matmul``,
 ``permute``, ``remap`` and symmetric Matrix Market files do.
+
+The Matrix Market writer makes no Python object per entry.  It formats each
+distinct value once, with ``repr``, and gathers every line from byte tables
+of index and value text, so its files equal those of a per-entry
+``f"{i} {j} {x!r}"`` loop byte for byte.
 """
 
 from __future__ import annotations
@@ -437,6 +442,24 @@ def support_subset(a, b):
 
 # -- Matrix Market exchange format ------------------------------------
 
+def _text_rows(strings):
+    """The ASCII strings as the rows of one uint8 table, NUL-padded at the back."""
+    table = np.array(strings, dtype="S")
+    return table.view(np.uint8).reshape(table.size, table.itemsize)
+
+
+def _repr_rows(vals):
+    """One NUL-padded uint8 row holding f"{x!r}\\n" per value.
+
+    ``repr`` of a Python float is the shortest string that reads back
+    exactly.  It runs once per distinct bit pattern, so 0.0 and -0.0 keep
+    their own text.  ``rows[rows != 0]`` is the text of all the lines.
+    """
+    bits, inv = np.unique(np.ascontiguousarray(vals, np.float64).view(np.int64),
+                          return_inverse=True)
+    return _text_rows([f"{x!r}\n" for x in bits.view(np.float64).tolist()])[inv]
+
+
 def write_matrix_market(path, m, symmetric=False):
     """Write coordinate real Matrix Market (1-based indices on disk).
 
@@ -449,12 +472,13 @@ def write_matrix_market(path, m, symmetric=False):
             raise ValueError("symmetric write requested for a non-symmetric matrix")
         keep = r >= c
         r, c, v = r[keep], c[keep], v[keep]
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {'symmetric' if symmetric else 'general'}\n")
-        fh.write(f"{m.nrows} {m.ncols} {r.size}\n")
-        # repr of a Python float is the shortest string that reads back exactly
-        entries = zip((r + 1).tolist(), (c + 1).tolist(), v.tolist())
-        fh.write("".join(f"{i} {j} {x!r}\n" for i, j, x in entries))
+    index = _text_rows([f"{i} " for i in range(1, max(m.nrows, m.ncols) + 1)])
+    # one row per entry: "i j x\n" padded with NULs, which the write drops
+    lines = np.concatenate((index[r], index[c], _repr_rows(v)), axis=1)
+    with open(path, "wb") as fh:
+        kind = "symmetric" if symmetric else "general"
+        fh.write(f"%%MatrixMarket matrix coordinate real {kind}\n{m.nrows} {m.ncols} {r.size}\n".encode())
+        fh.write(lines[lines != 0])
 
 
 def read_matrix_market(path):

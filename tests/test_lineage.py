@@ -92,6 +92,29 @@ def test_validate_reports_orthonormality_deviation():
     assert validate(GradedGraph([empty_graph(0), path_graph(2)], [empty], (empty,))).ok
 
 
+def nan_prolongation_lineage():
+    """path_lineage(2) with a NaN in the first stored entry of its 1->2 prolongation."""
+    gg = path_lineage(2)
+    p = gg.prolong[1]
+    vals = p.vals.copy()
+    vals[0] = np.nan
+    return GradedGraph(gg.levels, gg.inter, (gg.prolong[0], SparseMatrix(*p.shape, p.rows, p.cols, vals)))
+
+
+def test_validate_reports_a_nan_deviation():
+    diag = validate(nan_prolongation_lineage())
+    assert diag.issues == ["prolongation 1->2 columns not orthonormal, max deviation nan"]
+
+
+def test_validate_command_flags_a_nan_read_from_disk(tmp_path, capsys):
+    from skelgraph.cli import main
+
+    write_lineage(tmp_path, nan_prolongation_lineage())
+    assert "\n1 1 nan\n" in (tmp_path / "prolong_01_02.mtx").read_text()
+    assert main(["validate", str(tmp_path)]) == 2
+    assert "max deviation nan" in capsys.readouterr().out
+
+
 def test_validate_never_forms_a_dense_gram():
     # the dense 4096 x 4096 Gram of the top prolongation alone is 128 MB
     gg = path_lineage(13)

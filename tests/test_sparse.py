@@ -1,9 +1,11 @@
 """Unit tests for the canonical sparse kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from skelgraph.sparse import (
@@ -398,6 +400,67 @@ def test_matrix_market_text_matches_per_entry_writer(tmp_path, m, symmetric):
     write_matrix_market(path, m, symmetric=symmetric)
     assert path.read_text() == old_matrix_market_text(m, symmetric)
     assert read_matrix_market(path) == m
+
+
+# sizes whose 1-based indices cross 9/10, 99/100 and 999/1000 on disk
+MM_SIZES = [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]
+# drawn often, so that most values repeat: subnormals, the largest exponents, infinities, NaN
+MM_POOL = [1.0, -1.0, 0.5, 0.1 + 0.2, 2 ** -0.5, 1e16, 1e-5, 5e-324, -2.2250738585072014e-308,
+           np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def mm_matrices(draw):
+    symmetric = draw(st.booleans())
+    nrows = draw(st.sampled_from(MM_SIZES))
+    ncols = nrows if symmetric else draw(st.sampled_from(MM_SIZES))
+
+    def index(n):
+        return st.sampled_from([i for i in (0, 8, 9, 98, 99, 998, 999, n - 1) if 0 <= i < n]) | (
+            st.integers(0, n - 1))
+
+    if min(nrows, ncols) == 0:
+        return SparseMatrix(nrows, ncols), symmetric
+    value = st.sampled_from(MM_POOL) | st.floats()
+    if symmetric:
+        value = value.filter(lambda x: not np.isnan(x))  # a NaN is never equal to its mirror
+    entries = draw(st.dictionaries(st.tuples(index(nrows), index(ncols)), value, max_size=30))
+    if symmetric:  # keep one value per pair, stored on both sides
+        entries = {(max(key), min(key)): v for key, v in entries.items()}
+        entries |= {(c, r): v for (r, c), v in entries.items()}
+    return SparseMatrix.from_entries(nrows, ncols, [(*key, v) for key, v in entries.items()]), symmetric
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mm_matrices())
+def test_matrix_market_bytes_match_per_entry_writer(tmp_path, case):
+    m, symmetric = case
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, m, symmetric=symmetric)
+    assert path.read_bytes() == old_matrix_market_text(m, symmetric).encode()
+    back = read_matrix_market(path)
+    assert back.shape == m.shape
+    # every NaN reads back as the one numpy writes as np.nan
+    want = np.where(np.isnan(m.vals), np.nan, m.vals)
+    for got, ref in zip((back.rows, back.cols, back.vals), (m.rows, m.cols, want)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_matrix_market_writer_makes_no_object_per_entry(tmp_path):
+    # 500 k entries, three in four of them distinct: the per-entry f-string
+    # writer peaked at 84 MB under tracemalloc, the row-gathering one at 51 MB
+    n = 1000
+    vals = np.random.default_rng(3).standard_normal(n * n // 2)
+    vals[::4] = 1.0
+    m = SparseMatrix(n, n, np.repeat(np.arange(n), n // 2), np.tile(np.arange(1, n, 2), n), vals)
+    tracemalloc.start()
+    try:
+        write_matrix_market(tmp_path / "m.mtx", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_matrix_market_rejects_truncated_file(tmp_path):

@@ -12,7 +12,10 @@ runs on one machine.
 
 The runs:
 
-- ``gen`` with all four generators;
+- ``gen`` with all four generators, and ``gen complete --levels 9``, whose
+  top level has 261,632 entries;
+- ``write_matrix_market`` of a seeded general and a symmetric matrix (see
+  ``awkward_matrices``);
 - ``product cross|box|strong`` on three factor pairs at the default depth,
   at ``--levels 3`` and with ``--oracle-check``, and box and cross with
   ``--weights prolong``;
@@ -67,13 +70,40 @@ def _cli(main, *argv):
         sys.exit(f"error: skelgraph {' '.join(argv)} exited {code}")
 
 
+def awkward_matrices(seed=7, n=1200, nnz=20_000):
+    """A seeded n x n general matrix and a symmetric one whose indices cross
+    9/10, 99/100 and 999/1000 on disk.  Half the values come from a small pool
+    of awkward floats, so they repeat; the rest are arbitrary float64 bit
+    patterns, NaNs with any payload among them, kept in the general one only."""
+    from skelgraph.sparse import SparseMatrix
+
+    rng = np.random.default_rng(seed)
+    keys = np.sort(rng.choice(n * n, size=nnz, replace=False))
+    r, c = keys // n, keys % n
+    pool = [1.0, -1.0, 0.1 + 0.2, 2 ** -0.5, 1e16, 1e-5, 5e-324, -2.2250738585072014e-308,
+            1e308, np.inf, -np.inf, np.nan]
+    bits = np.frombuffer(rng.bytes(8 * nnz), np.float64)
+    vals = np.where(rng.random(nnz) < 0.5, rng.choice(pool, nnz), bits)
+    low = (r >= c) & ~np.isnan(vals)
+    off = low & (r > c)
+    symmetric = SparseMatrix(n, n, np.concatenate([r[low], c[off]]), np.concatenate([c[low], r[off]]),
+                             np.concatenate([vals[low], vals[off]]))
+    return SparseMatrix(n, n, r, c, vals), symmetric
+
+
 def write_outputs(out):
     from skelgraph.cli import main
     from skelgraph.multigrid import ALGORITHMS, build_problem, export_problem, run_benchmark
+    from skelgraph.sparse import write_matrix_market
 
     lin = out / "lineages"
     for name, levels in GENERATORS.items():
         _cli(main, "gen", name, "--levels", str(levels), "--out", str(lin / name))
+    _cli(main, "gen", "complete", "--levels", "9", "--out", str(lin / "complete9"))
+    general, symmetric = awkward_matrices()
+    (out / "matrix-market").mkdir()
+    write_matrix_market(out / "matrix-market" / "general.mtx", general)
+    write_matrix_market(out / "matrix-market" / "symmetric.mtx", symmetric, symmetric=True)
     prod = out / "products"
     for f1, f2 in PAIRS:
         inputs = [str(lin / f1), str(lin / f2)]
