@@ -17,7 +17,8 @@ entries in canonical order, so they never reach that sort; ``matmul``,
 The Matrix Market writer makes no Python object per entry.  It formats each
 distinct value once, with ``repr``, and gathers every line from byte tables
 of index and value text, so its files equal those of a per-entry
-``f"{i} {j} {x!r}"`` loop byte for byte.
+``f"{i} {j} {x!r}"`` loop byte for byte.  Files of fewer than
+``_GATHER_MIN_NNZ`` entries are written by that loop, which costs less there.
 """
 
 from __future__ import annotations
@@ -460,6 +461,11 @@ def _repr_rows(vals):
     return _text_rows([f"{x!r}\n" for x in bits.view(np.float64).tolist()])[inv]
 
 
+# below this many entries the gather's fixed cost (~45 us a call, half of it
+# np.unique) exceeds that of formatting each entry, even with no value repeated
+_GATHER_MIN_NNZ = 128
+
+
 def write_matrix_market(path, m, symmetric=False):
     """Write coordinate real Matrix Market (1-based indices on disk).
 
@@ -472,12 +478,16 @@ def write_matrix_market(path, m, symmetric=False):
             raise ValueError("symmetric write requested for a non-symmetric matrix")
         keep = r >= c
         r, c, v = r[keep], c[keep], v[keep]
-    index = _text_rows([f"{i} " for i in range(1, max(m.nrows, m.ncols) + 1)])
-    # one row per entry: "i j x\n" padded with NULs, which the write drops
-    lines = np.concatenate((index[r], index[c], _repr_rows(v)), axis=1)
     with open(path, "wb") as fh:
         kind = "symmetric" if symmetric else "general"
         fh.write(f"%%MatrixMarket matrix coordinate real {kind}\n{m.nrows} {m.ncols} {r.size}\n".encode())
+        if r.size < _GATHER_MIN_NNZ:
+            entries = zip((r + 1).tolist(), (c + 1).tolist(), v.tolist())
+            fh.write("".join(f"{i} {j} {x!r}\n" for i, j, x in entries).encode())
+            return
+        index = _text_rows([f"{i} " for i in range(1, max(m.nrows, m.ncols) + 1)])
+        # one row per entry: "i j x\n" padded with NULs, which the write drops
+        lines = np.concatenate((index[r], index[c], _repr_rows(v)), axis=1)
         fh.write(lines[lines != 0])
 
 

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from skelgraph import sparse
 from skelgraph.sparse import (
     Permutation,
     SparseMatrix,
@@ -434,11 +435,15 @@ def mm_matrices(draw):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mm_matrices())
-def test_matrix_market_bytes_match_per_entry_writer(tmp_path, case):
+def test_matrix_market_bytes_match_per_entry_writer(tmp_path, monkeypatch, case):
     m, symmetric = case
     path = tmp_path / "a.mtx"
-    write_matrix_market(path, m, symmetric=symmetric)
-    assert path.read_bytes() == old_matrix_market_text(m, symmetric).encode()
+    # the drawn matrices are small, so force the row gather as well as the small-file loop
+    for gather_min in (0, sparse._GATHER_MIN_NNZ):
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse, "_GATHER_MIN_NNZ", gather_min)
+            write_matrix_market(path, m, symmetric=symmetric)
+        assert path.read_bytes() == old_matrix_market_text(m, symmetric).encode()
     back = read_matrix_market(path)
     assert back.shape == m.shape
     # every NaN reads back as the one numpy writes as np.nan
