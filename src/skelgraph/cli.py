@@ -99,8 +99,7 @@ def _build_parser():
 
 def _cmd_gen(args):
     if args.levels < 0:
-        print("error: --levels must be nonnegative", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--levels must be nonnegative")
     gg = GENERATORS[args.generator](args.levels)
     lin.write_lineage(args.out, gg, name=args.generator)
     print(f"wrote {args.generator} lineage with {gg.num_levels} levels to {args.out}")
@@ -115,18 +114,12 @@ def _cmd_product(args):
         "strong": skel.skeletal_strong,
     }
     if args.oracle_check and (args.kind not in binary or args.weights != "pattern"):
-        print(
-            "error: --oracle-check needs a pattern-weighted box/cross/strong product",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError("--oracle-check needs a pattern-weighted box/cross/strong product")
     if args.weights != "pattern" and args.kind not in ("box", "cross"):
-        print("error: --weights prolong needs a box or cross product", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--weights prolong needs a box or cross product")
     if args.kind in binary:
         if len(inputs) != 2:
-            print("error: binary products take exactly two inputs", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("binary products take exactly two inputs")
         if args.kind == "strong":
             gg = skel.skeletal_strong(inputs[0], inputs[1], args.levels)
         else:
@@ -142,8 +135,7 @@ def _cmd_product(args):
         gg = skel.skeletal_cross_nway(inputs, mode, args.levels)
     else:
         if len(inputs) != 2:
-            print("error: dilated products take exactly two inputs", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("dilated products take exactly two inputs")
         gg = skel.skeletal_dilated(
             inputs[0], inputs[1], args.rho[0], args.rho[1],
             kind=args.dilated_kind, max_level=args.levels,
@@ -170,8 +162,7 @@ def _cmd_validate(args):
 def _cmd_export(args):
     gg = lin.read_lineage(args.input)
     if not 0 <= args.level < gg.num_levels:
-        print(f"error: level {args.level} out of range", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"level {args.level} out of range")
     g = gg.levels[args.level]
     out = Path(args.out)
     if args.format == "mtx":
@@ -186,8 +177,7 @@ def _cmd_export(args):
 
 def _cmd_cnn_structure(args):
     if args.grid_levels < 0 or args.feature_levels < 0:
-        print("error: level counts must be nonnegative", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("level counts must be nonnegative")
     grid = lin.grid2d_lineage(args.grid_levels)
     features = lin.complete_lineage(args.feature_levels)
     depth = min(args.grid_levels, args.feature_levels)
@@ -203,11 +193,9 @@ def _cmd_cnn_structure(args):
 def _cmd_bench(args):
     unknown = [a for a in args.algorithms if a not in ALGORITHMS]
     if unknown:
-        print(f"error: unknown algorithms {unknown}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"unknown algorithms {unknown}")
     if args.budget < 0:
-        print("error: budget must be nonnegative", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("budget must be nonnegative")
     trace = run_benchmark(args.k, args.bc, args.algorithms, args.budget)
     Path(args.out).write_text(trace.to_csv())
     print(f"wrote {len(trace.rows)} rows to {args.out}")

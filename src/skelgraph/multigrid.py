@@ -8,14 +8,15 @@ dimension at a time is an exact Galerkin identity and the recursive solver
 can semicoarsen along either factor.
 
 All solvers run one Galerkin gamma-cycle: smooth, restrict, run the coarser
-grids gamma times, prolong, combine, smooth.  Each supplies its grids (an
-operator per grid and, per grid, the coarser grids correcting it, with their
-prolongations as data), its coarsest-grid rule (one exact sweep or full
-smoothing) and how corrections combine (a plain sum or energy-optimal
-weights).  Work is counted in smoothing units, charged where each sweep
-runs: one sweep costs the nonzero count of its matrix; transfers are free;
-``cycle_cost`` recomputes it analytically as the check.  All solvers are
-free of randomness, so traces are bit-reproducible.
+grids gamma times (``gamma=1`` a V-cycle, ``gamma=2`` a W-cycle), prolong,
+combine, smooth.  Each supplies its grids (an operator per grid and, per
+grid, the coarser grids correcting it, with their prolongations as data),
+its coarsest-grid rule (one exact sweep or full smoothing) and how
+corrections combine (a plain sum or energy-optimal weights).  Work is
+counted in smoothing units, charged where each sweep runs: one sweep costs
+the nonzero count of its matrix; transfers are free; ``cycle_cost``
+recomputes it analytically as the check.  All solvers are free of
+randomness, so traces are bit-reproducible.
 
 The cycle runs one depth at a time: all visits to a grid sit at one depth
 (2k - l1 - l2 for the recursive solver's grid (l1, l2)) and read only their
@@ -24,9 +25,10 @@ batch, restricts them into the next depth's batches, runs that depth gamma
 times, then prolongs, combines and post-smooths them.  A depth's coarse
 batch runs in chunks of at most ``chunk_elements`` values.
 
-The smoother is forward lexicographic Gauss-Seidel, run by wavefronts (level
-scheduling), each one batched matmul over its rows padded at the front to
-a common width, yet bit-identical to the row-by-row sweep.
+The smoother does one sweep of forward lexicographic Gauss-Seidel per call,
+run by wavefronts (level scheduling), each one batched matmul over its rows
+padded at the front to a common width, yet bit-identical to the row-by-row
+sweep.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .skeletal import _product_levels
 from .sparse import SparseMatrix, _repr_rows, _segments, kron, kron_sum, write_matrix_market
 
 __all__ = [
-    "CycleSpec",
     "DirichletProblem",
     "WorkTrace",
     "build_problem",
@@ -61,17 +62,6 @@ RESIDUAL_FLOOR = 1e-10
 # solver set-up grows ~4x per step of k and peaks at 2.4 GB or more at k = 11,
 # so at k = 12 (where build_problem alone peaks at 3.1 GB) it needs ~10 GB
 MAX_BENCHMARK_K = 11
-
-
-@dataclass(frozen=True)
-class CycleSpec:
-    """gamma=1 is a V-cycle, gamma=2 a W-cycle: how often a visit recurses."""
-
-    gamma: int = 1
-
-    def __post_init__(self):
-        if self.gamma not in (1, 2):
-            raise ValueError("gamma must be 1 (V) or 2 (W)")
 
 
 @dataclass(frozen=True)
@@ -242,9 +232,9 @@ def _wavefront_schedule(a):
     return order, groups
 
 
-def gauss_seidel(a, x, b, sweeps=1):
-    """Forward lexicographic Gauss-Seidel sweeps on x and b of shape (n,), or
-    (B, n) for B independent systems; returns a new array.
+def gauss_seidel(a, x, b):
+    """One forward lexicographic Gauss-Seidel sweep on x and b of shape (n,),
+    or (B, n) for B independent systems; returns a new array.
 
     Rows run by the groups of ``_wavefront_schedule``, one per wavefront
     when no row holds more than ``_PAD_WIDTH`` entries.  No entry joins two
@@ -270,19 +260,17 @@ def gauss_seidel(a, x, b, sweeps=1):
     if x.ndim == 2 and len(x) > 1:
         y = np.concatenate((x.take(order, axis=1), np.zeros((len(x), 1))), axis=1)
         c, batch = b.take(order, axis=1), (len(x),)
-        for _ in range(sweeps):
-            for rows, d, cols, vals, shape in groups:
-                dots = vals @ y.take(cols, axis=1).reshape(batch + shape)
-                y[:, rows] += (c[:, rows] - dots.reshape(batch + shape[:-2])) / d
+        for rows, d, cols, vals, shape in groups:
+            dots = vals @ y.take(cols, axis=1).reshape(batch + shape)
+            y[:, rows] += (c[:, rows] - dots.reshape(batch + shape[:-2])) / d
         out[:, order] = y[:, :n]
         return out
     y, c = np.append(x.reshape(-1)[order], 0.0), b.reshape(-1)[order]
-    for _ in range(sweeps):
-        for rows, d, cols, vals, shape in groups:
-            if type(rows) is int:  # a plain dot costs less per call on chain-like grids
-                y[rows] += (c[rows] - vals @ y.take(cols)) / d
-            else:
-                y[rows] += (c[rows] - (vals @ y.take(cols).reshape(shape)).reshape(-1)) / d
+    for rows, d, cols, vals, shape in groups:
+        if type(rows) is int:  # a plain dot costs less per call on chain-like grids
+            y[rows] += (c[rows] - vals @ y.take(cols)) / d
+        else:
+            y[rows] += (c[rows] - (vals @ y.take(cols).reshape(shape)).reshape(-1)) / d
     out.reshape(-1)[order] = y[:n]
     return out
 
@@ -325,9 +313,11 @@ class _GalerkinCycle:
     # values in one chunk of a depth's coarse batch: bounds the live columns
     chunk_elements = 1 << 16
 
-    def __init__(self, problem, spec, top, ops, children):
+    def __init__(self, problem, gamma, top, ops, children):
+        if gamma not in (1, 2):
+            raise ValueError("gamma must be 1 (V) or 2 (W)")
         self.problem = problem
-        self.spec = spec
+        self.gamma = gamma
         self.top = top
         self.ops = ops
         self.children = children
@@ -341,7 +331,7 @@ class _GalerkinCycle:
                 memo[g] = a.nnz
             else:
                 below = sum(self._cost(child.grid, memo) for child in children)
-                memo[g] = 2 * a.nnz + self.spec.gamma * below
+                memo[g] = 2 * a.nnz + self.gamma * below
         return memo[g]
 
     def _pass(self, batch):
@@ -365,7 +355,7 @@ class _GalerkinCycle:
         del coarse
         sol = {c: np.zeros(f.shape) for c, f in rhs.items()}
         for chunk in self._chunks(rhs):
-            for _ in range(self.spec.gamma):
+            for _ in range(self.gamma):
                 done, w = self._pass({c: (sol[c][s], rhs[c][s]) for c, s in chunk.items()})
                 work += w
                 for c, s in chunk.items():
@@ -409,24 +399,21 @@ class _GalerkinCycle:
 class GaussSeidelIteration(_GalerkinCycle):
     """Plain smoothing as a baseline; one cycle is one sweep."""
 
-    name = "gauss_seidel"
-
     def __init__(self, problem):
-        super().__init__(problem, CycleSpec(), 0, {0: problem.A}, {0: []})
+        super().__init__(problem, 1, 0, {0: problem.A}, {0: []})
 
 
 class ClassicalMultigrid(_GalerkinCycle):
     """Geometric multigrid coarsening both dimensions at once (Galerkin)."""
 
-    def __init__(self, problem, cycle=CycleSpec()):
-        self.name = "classical_mg_v" if cycle.gamma == 1 else "classical_mg_w"
+    def __init__(self, problem, gamma=1):
         pro1, _ = problem.factor_prolong
         ops, children = [None] * problem.k + [problem.A], [[] for _ in range(problem.k + 1)]
         for i in range(problem.k - 1, 0, -1):
             p2 = kron(pro1[i - 1], pro1[i - 1])
             ops[i] = p2.T @ ops[i + 1] @ p2
             children[i + 1] = [_Child(i, p2)]
-        super().__init__(problem, cycle, problem.k, ops, children)
+        super().__init__(problem, gamma, problem.k, ops, children)
 
 
 class RecursiveSkeletal(_GalerkinCycle):
@@ -445,8 +432,7 @@ class RecursiveSkeletal(_GalerkinCycle):
     coarsest_exact = False
     energy_weights = True
 
-    def __init__(self, problem, cycle=CycleSpec()):
-        self.name = "skeletal_recursive_v" if cycle.gamma == 1 else "skeletal_recursive_w"
+    def __init__(self, problem, gamma=1):
         k = problem.k
         ops1, ops2 = problem.factor_ops
         # dense factor prolongations; p1[i] maps level i to i+1
@@ -460,7 +446,7 @@ class RecursiveSkeletal(_GalerkinCycle):
             ops[l1, l2] = kron_sum(ops1[l1 - 1], ops2[l2 - 1])
             coarser = (_Child((l1 - 1, l2), p1[l1 - 1], 0), _Child((l1, l2 - 1), p2[l2 - 1], 1))
             children[l1, l2] = [child for child in coarser if child.p is not None]
-        super().__init__(problem, cycle, (k, k), ops, children)
+        super().__init__(problem, gamma, (k, k), ops, children)
 
 
 class LevelwiseSkeletal(_GalerkinCycle):
@@ -474,8 +460,7 @@ class LevelwiseSkeletal(_GalerkinCycle):
     # the raw correction overcounts; it is scaled to the energy optimum
     energy_weights = True
 
-    def __init__(self, problem, cycle=CycleSpec()):
-        self.name = "skeletal_levelwise_v" if cycle.gamma == 1 else "skeletal_levelwise_w"
+    def __init__(self, problem, gamma=1):
         k = problem.k
         # 1D level i sits at index i - 1, so summed level L comes out at index L - 2
         levels = _product_levels(problem.factor_ops, problem.factor_prolong, "box", sum, 2 * k - 2)
@@ -486,7 +471,7 @@ class LevelwiseSkeletal(_GalerkinCycle):
             if p is not None:
                 self.transfer[L] = _renormalize_columns(p)
                 children[L] = [_Child(L - 1, self.transfer[L])]
-        super().__init__(problem, cycle, 2 * k, ops, children)
+        super().__init__(problem, gamma, 2 * k, ops, children)
 
 
 def _energy_optimal_combination(a, r, corrections):
@@ -526,12 +511,12 @@ def _renormalize_columns(p):
 
 
 ALGORITHMS = {
-    "gauss_seidel": lambda prob: GaussSeidelIteration(prob),
-    "classical_mg_v": lambda prob: ClassicalMultigrid(prob, CycleSpec(gamma=1)),
-    "classical_mg_w": lambda prob: ClassicalMultigrid(prob, CycleSpec(gamma=2)),
-    "skeletal_recursive_v": lambda prob: RecursiveSkeletal(prob, CycleSpec(gamma=1)),
-    "skeletal_recursive_w": lambda prob: RecursiveSkeletal(prob, CycleSpec(gamma=2)),
-    "skeletal_levelwise_v": lambda prob: LevelwiseSkeletal(prob, CycleSpec(gamma=1)),
+    "gauss_seidel": GaussSeidelIteration,
+    "classical_mg_v": ClassicalMultigrid,
+    "classical_mg_w": lambda prob: ClassicalMultigrid(prob, 2),
+    "skeletal_recursive_v": RecursiveSkeletal,
+    "skeletal_recursive_w": lambda prob: RecursiveSkeletal(prob, 2),
+    "skeletal_levelwise_v": LevelwiseSkeletal,
 }
 
 

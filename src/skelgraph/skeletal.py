@@ -267,6 +267,8 @@ def skeletal_dilated(gg1, gg2, rho1=1, rho2=1, shape=None, kind="box", max_level
         level_of = lambda lvec: f1(lvec[0]) + f2(lvec[1])  # noqa: E731
         rho_note = "shaped"
     else:
+        if not (math.isfinite(rho1) and math.isfinite(rho2)):
+            raise ValueError("dilation rates must be finite")
         r1, r2 = _as_fraction(rho1), _as_fraction(rho2)
         if r1 <= 0 or r2 <= 0:
             raise ValueError("dilation rates must be positive")
@@ -324,7 +326,7 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
     if kind not in ("cross", "box", "strong"):
         raise ValueError(f"unknown kind {kind!r}")
     if max_level is None:
-        max_level = min(gg1.top, gg2.top)
+        max_level = max(min(gg1.top, gg2.top), 0)
     _check_depth(max_level, gg1.top + gg2.top)
     f1 = assemble_flat(gg1).adj
     f2 = assemble_flat(gg2).adj
@@ -332,11 +334,12 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
     tags = [np.repeat(np.arange(gg.num_levels), gg.level_sizes()) for gg in (gg1, gg2)]
     # kron pairs (i1, i2) as i1 * |V2| + i2, the vertex's index in the full product
     level = np.add.outer(*tags).ravel()
-    ends1, ends2 = (np.cumsum(gg.level_sizes()) for gg in (gg1, gg2))
+    # level a spans ends[a]:ends[a + 1]; a lineage without levels has ends [0]
+    ends1, ends2 = (np.cumsum([0, *gg.level_sizes()]) for gg in (gg1, gg2))
     rows, cols, vals = [], [], []
     for a in range(min(gg1.top, max_level) + 1):
-        r0, r1 = int(ends1[a] - gg1.levels[a].n), int(ends1[a])
-        c2 = int(ends2[min(max_level - a + 1, gg2.top)])
+        r0, r1 = int(ends1[a]), int(ends1[a + 1])
+        c2 = int(ends2[min(max_level - a + 2, gg2.num_levels)])
         slab = submatrix(f1, r0, r1, 0, n1)
         lead = submatrix(f2, 0, c2, 0, c2)
         if kind == "cross":
@@ -354,9 +357,10 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
         rows.append(row[keep])
         cols.append(col[keep])
         vals.append(part.vals[keep])
-    # the slabs cover disjoint rows, so no two of them share an entry
-    kept = SparseMatrix(n1 * n2, n1 * n2, np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals))
+    # the slabs cover disjoint rows, so no two of them share an entry; without
+    # a slab (the first factor has no levels) there is no vertex either
+    kept = (SparseMatrix(n1 * n2, n1 * n2, *map(np.concatenate, (rows, cols, vals))) if rows
+            else SparseMatrix(0, 0))
     # a stable sort by summed level lists each level's blocks by l1
     # ascending, row-major inside a block: the skeletal layout
     forward = np.empty(level.size, dtype=np.int64)

@@ -335,7 +335,7 @@ def test_criterion_11_solver_sanity():
         x = np.zeros(prob.n ** 2)
         prev = (x - x_star) @ dense @ (x - x_star)
         for _ in range(6):
-            x = gauss_seidel(prob.A, x, prob.b, 1)
+            x = gauss_seidel(prob.A, x, prob.b)
             cur = (x - x_star) @ dense @ (x - x_star)
             assert cur <= prev * (1 + 1e-12)
             prev = cur

@@ -249,6 +249,36 @@ def test_product_refuses_prolong_weights_it_cannot_apply(tmp_path, capsys, kind)
     assert not out.exists()
 
 
+def test_product_refuses_infinite_dilation_rate(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    main(["gen", "path", "--levels", "2", "--out", str(a)])
+    main(["gen", "complete", "--levels", "2", "--out", str(b)])
+    capsys.readouterr()
+    out = tmp_path / "prod"
+    for rho in (["inf", "1"], ["1", "inf"], ["nan", "1"]):
+        assert main(["product", "dilated", str(a), str(b), "--rho", *rho, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dilation rates must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", ["empty-first", "empty-second"])
+@pytest.mark.parametrize("kind", ["box", "cross", "strong"])
+def test_oracle_check_on_a_lineage_without_levels(tmp_path, capsys, kind, order):
+    src, empty = tmp_path / "p", tmp_path / "empty"
+    main(["gen", "path", "--levels", "2", "--out", str(src)])
+    empty.mkdir()
+    (empty / "manifest.json").write_text(json.dumps(
+        {"numLevels": 0, "levelFiles": [], "interFiles": [], "prolongFiles": []}))
+    capsys.readouterr()
+    inputs = [str(empty), str(src)] if order == "empty-first" else [str(src), str(empty)]
+    out = tmp_path / "prod"
+    assert main(["product", kind, *inputs, "--oracle-check", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("oracle check passed\n") and captured.err == ""
+    assert read_lineage(out).level_sizes() == [0]
+
+
 def test_export_formats(tmp_path):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "2", "--out", str(src)])

@@ -9,7 +9,6 @@ from skelgraph import multigrid
 from skelgraph.multigrid import (
     ALGORITHMS,
     ClassicalMultigrid,
-    CycleSpec,
     GaussSeidelIteration,
     LevelwiseSkeletal,
     RecursiveSkeletal,
@@ -22,8 +21,12 @@ from skelgraph.sparse import SparseMatrix, identity, kron, kron_sum
 
 
 def test_cycle_spec_validation():
-    with pytest.raises(ValueError):
-        CycleSpec(gamma=3)
+    prob = build_problem(2, 1)
+    for cls in (ClassicalMultigrid, RecursiveSkeletal, LevelwiseSkeletal):
+        with pytest.raises(ValueError, match="gamma must be 1"):
+            cls(prob, gamma=3)
+    for name in ALGORITHMS:
+        assert make_solver(name, prob).gamma == (2 if name.endswith("_w") else 1)
 
 
 def test_build_problem_k2_bc1_rhs():
@@ -170,21 +173,21 @@ def test_semicoarsening_identity_all_hierarchy_edges():
 
 def test_gauss_seidel_identity_and_scalar():
     b = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(gauss_seidel(identity(3), np.zeros(3), b, 1), b)
+    assert np.array_equal(gauss_seidel(identity(3), np.zeros(3), b), b)
     four = SparseMatrix.from_entries(1, 1, [(0, 0, 4.0)])
-    assert gauss_seidel(four, np.zeros(1), np.array([8.0]), 1)[0] == 2.0
+    assert gauss_seidel(four, np.zeros(1), np.array([8.0]))[0] == 2.0
 
 
 def test_gauss_seidel_reduces_residual():
     prob = build_problem(2, 1)
-    x = gauss_seidel(prob.A, np.zeros(9), prob.b, 1)
+    x = gauss_seidel(prob.A, np.zeros(9), prob.b)
     assert np.linalg.norm(prob.b - prob.A @ x) < np.linalg.norm(prob.b)
 
 
 def test_gauss_seidel_rejects_zero_diagonal():
     with pytest.raises(ValueError):
         gauss_seidel(SparseMatrix.from_entries(2, 2, [(0, 1, 1.0), (1, 0, 1.0)]),
-                     np.zeros(2), np.ones(2), 1)
+                     np.zeros(2), np.ones(2))
 
 
 def test_gauss_seidel_rejects_mismatched_lengths():
@@ -196,7 +199,7 @@ def test_gauss_seidel_rejects_mismatched_lengths():
     ]
     for a, x, b in cases:
         with pytest.raises(ValueError, match="incompatible"):
-            gauss_seidel(a, x, b, 1)
+            gauss_seidel(a, x, b)
 
 
 def _row_loop_gauss_seidel(a, x, b, sweeps):
@@ -208,6 +211,12 @@ def _row_loop_gauss_seidel(a, x, b, sweeps):
         for i in range(x.size):
             lo, hi = indptr[i], indptr[i + 1]
             x[i] += (b[i] - data[lo:hi] @ x[indices[lo:hi]]) / diag[i]
+    return x
+
+
+def _repeated_gauss_seidel(a, x, b, sweeps):
+    for _ in range(sweeps):
+        x = gauss_seidel(a, x, b)
     return x
 
 
@@ -291,17 +300,17 @@ def test_batched_gauss_seidel_matches_one_call_per_column():
         x, b = _signed_zeros(rng, x, b)
         x0, b0 = x.copy(), b.copy()
         sweeps = 1 + t % 2
-        got = gauss_seidel(a, x, b, sweeps)
+        got = _repeated_gauss_seidel(a, x, b, sweeps)
         assert got.shape == x.shape
         for j in range(batch):
-            assert got[j].tobytes() == gauss_seidel(a, x[j], b[j], sweeps).tobytes()
+            assert got[j].tobytes() == _repeated_gauss_seidel(a, x[j], b[j], sweeps).tobytes()
             assert got[j].tobytes() == _row_loop_gauss_seidel(a, x[j], b[j], sweeps).tobytes()
         assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
         # a batch of one column takes the single-column path, with its shape kept
-        one = gauss_seidel(a, x[:1], b[:1], sweeps)
+        one = _repeated_gauss_seidel(a, x[:1], b[:1], sweeps)
         assert one.shape == (1, a.nrows) and one[0].tobytes() == got[0].tobytes()
     with pytest.raises(ValueError, match="incompatible"):
-        gauss_seidel(identity(3), np.zeros((2, 3)), np.zeros((3, 3)), 1)
+        gauss_seidel(identity(3), np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def test_batched_matvec_matches_one_call_per_column():
@@ -328,17 +337,17 @@ def test_wavefront_gauss_seidel_matches_row_loop():
         x, b = _signed_zeros(rng, rng.standard_normal(a.nrows), rng.standard_normal(a.nrows))
         x0, b0 = x.copy(), b.copy()
         sweeps = 1 + t % 3
-        got = gauss_seidel(a, x, b, sweeps)
+        got = _repeated_gauss_seidel(a, x, b, sweeps)
         assert got.tobytes() == _row_loop_gauss_seidel(a, x, b, sweeps).tobytes()
         assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
         # a second call reuses the cached schedule
-        assert gauss_seidel(a, x, b, sweeps).tobytes() == got.tobytes()
+        assert _repeated_gauss_seidel(a, x, b, sweeps).tobytes() == got.tobytes()
     # recursive W's 1-row and 3-row grids are among them
     assert {(1, 1), (3, 3)} <= shapes
     singular = SparseMatrix.from_entries(3, 3, [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (2, 2, 1.0)])
     for _ in range(2):
         with pytest.raises(ValueError, match="nonzero diagonal"):
-            gauss_seidel(singular, np.zeros(3), np.ones(3), 1)
+            gauss_seidel(singular, np.zeros(3), np.ones(3))
 
 
 def test_wavefront_schedule_pads_short_rows_into_one_group_per_wavefront():
@@ -397,12 +406,12 @@ def test_every_algorithm_charges_its_cycle_cost():
     for bc in (1, 2):
         prob = build_problem(3, bc)
         solvers = [make_solver(name, prob) for name in sorted(ALGORITHMS)]
-        solvers.append(LevelwiseSkeletal(prob, CycleSpec(gamma=2)))
+        solvers.append(LevelwiseSkeletal(prob, 2))
         for solver in solvers:
             x = np.zeros(prob.n ** 2)
             for _ in range(2):
                 x, work = solver.cycle(x)
-                assert work == solver.cycle_cost, solver.name
+                assert work == solver.cycle_cost, (type(solver).__name__, solver.gamma)
 
 
 def test_recursive_skeletal_coarsest_grid_smooths_only():
@@ -504,7 +513,7 @@ def test_error_energy_monotone_against_dense_reference():
         x = np.zeros(prob.n ** 2)
         prev = energy(x)
         for _ in range(5):
-            x = gauss_seidel(prob.A, x, prob.b, 1)
+            x = gauss_seidel(prob.A, x, prob.b)
             cur = energy(x)
             assert cur <= prev * (1 + 1e-12)
             prev = cur
@@ -611,7 +620,7 @@ def _sequential_visit(solver, g, x, b):
     for child in children:
         rc = _reference_restrict(child, r)
         c = np.zeros(rc.size)
-        for _ in range(solver.spec.gamma):
+        for _ in range(solver.gamma):
             c, w = _sequential_visit(solver, child.grid, c, rc)
             work += w
         corrections.append(_reference_prolong(child, c))
@@ -632,7 +641,7 @@ def test_depth_pass_matches_sequential_recursion_bit_for_bit(k):
             # sequential reference takes seconds from k = 5 on
             if name == "skeletal_recursive_w" and k > 4:
                 continue
-            solver = (LevelwiseSkeletal(prob, CycleSpec(gamma=2)) if name == "skeletal_levelwise_w"
+            solver = (LevelwiseSkeletal(prob, 2) if name == "skeletal_levelwise_w"
                       else make_solver(name, prob))
             x = want = np.zeros(prob.n ** 2)
             for _ in range(2 if k < 5 else 1):
@@ -663,8 +672,8 @@ def test_chunks_cover_each_column_once_within_the_budget():
 def test_w_cycle_variants_run():
     prob = build_problem(3, 1)
     for cls in (ClassicalMultigrid, RecursiveSkeletal):
-        solver = cls(prob, CycleSpec(gamma=2))
-        assert solver.name.endswith("_w")
+        solver = cls(prob, 2)
+        assert solver.gamma == 2
         x, work = solver.cycle(np.zeros(prob.n ** 2))
         assert work == solver.cycle_cost
         assert solver.residual(x) < solver.residual(np.zeros(prob.n ** 2))

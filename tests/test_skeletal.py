@@ -422,6 +422,9 @@ def test_dilated_rejects_bad_parameters():
         skeletal_dilated(u, u, shape=(lambda l: -l, lambda l: l))
     with pytest.raises(ValueError):
         skeletal_dilated(u, u, kind="strong")
+    for rates in ((np.inf, 1), (1, -np.inf), (np.nan, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            skeletal_dilated(u, u, *rates)
 
 
 def test_shaped_product_custom_maps():
@@ -479,6 +482,18 @@ def test_flat_assembly_oracle_on_weighted_unequal_factors_at_every_depth():
             for kind, build in (("cross", skeletal_cross), ("box", skeletal_box),
                                 ("strong", skeletal_strong)):
                 assert build(gg1, gg2, L) == product_via_flat_assembly(gg1, gg2, kind, L)
+
+
+def test_flat_assembly_oracle_on_a_lineage_without_levels():
+    # read_lineage accepts numLevels 0; the product has no vertex at any depth
+    empty, path = GradedGraph([], [], None, {"name": "empty"}), path_lineage(2)
+    for gg1, gg2 in ((empty, path), (path, empty)):
+        for kind, build in (("cross", skeletal_cross), ("box", skeletal_box),
+                            ("strong", skeletal_strong)):
+            for L in (None, 0, 1):
+                direct = build(gg1, gg2, L)
+                assert direct.level_sizes() == [0] * (1 if L is None else L + 1)
+                assert product_via_flat_assembly(gg1, gg2, kind, L) == direct
 
 
 def _scipy_flat_reference(gg1, gg2, kind, depth):

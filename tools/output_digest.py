@@ -24,6 +24,8 @@ The runs:
 - ``validate`` on every lineage directory those runs write, one
   ``validate/<dir>`` line hashing its exit code and report, since the
   listing otherwise discards CLI stdout;
+- one ``cli-error/<case>`` line per usage check of the CLI commands (see
+  ``USAGE_ERRORS``), hashing its exit code and stderr;
 - ``export_problem`` (``A.mtx`` and ``b.txt``) at k = 2..6, bc 1 and 2,
   since no CLI path writes b;
 - the ``run_benchmark`` CSV of all six algorithms at k = 2..5, bc 1 and 2,
@@ -52,6 +54,23 @@ import numpy as np
 GENERATORS = {"path": 4, "complete": 3, "grid2d": 3, "nhat": 3}
 PAIRS = [("path", "complete"), ("complete", "grid2d"), ("nhat", "path")]
 BUDGET_PER_NNZ = 1000  # work budget of each run_benchmark call, per nonzero of A
+# (case, argv) failing one usage check each; {out} is the directory the runs write to
+USAGE_ERRORS = [
+    ("gen-negative-levels", ["gen", "path", "--levels", "-1"]),
+    ("product-oracle-not-binary", ["product", "nway-hat", "{out}/lineages/path",
+                                   "{out}/lineages/nhat", "--oracle-check"]),
+    ("product-prolong-not-box-or-cross", ["product", "strong", "{out}/lineages/path",
+                                          "{out}/lineages/nhat", "--weights", "prolong"]),
+    ("product-binary-three-inputs", ["product", "box", "{out}/lineages/path",
+                                     "{out}/lineages/nhat", "{out}/lineages/path"]),
+    ("product-dilated-one-input", ["product", "dilated", "{out}/lineages/path"]),
+    ("export-level-out-of-range", ["export", "{out}/lineages/path", "--level", "9"]),
+    ("cnn-structure-negative-levels", ["cnn-structure", "--grid-levels", "-1",
+                                       "--feature-levels", "2"]),
+    ("bench-unknown-algorithm", ["bench", "--k", "2", "--bc", "1", "--budget", "10",
+                                 "--algorithms", "gauss_seidel", "cg"]),
+    ("bench-negative-budget", ["bench", "--k", "2", "--bc", "1", "--budget", "-1"]),
+]
 CYCLE_SOLVERS = ("classical_mg_v", "classical_mg_w", "skeletal_recursive_v",
                  "skeletal_recursive_w", "skeletal_levelwise_v")
 
@@ -156,6 +175,19 @@ def validate_digests(out):
         yield f"validate/{manifest.parent.relative_to(out).as_posix()}", digest
 
 
+def usage_error_digests(out):
+    """Yield (name, sha256) of the exit code and stderr of each ``USAGE_ERRORS``
+    call, run with ``--out`` a path under out that no call writes."""
+    from skelgraph.cli import main
+
+    for case, argv in USAGE_ERRORS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = _run(main, *(a.format(out=out) for a in argv), "--out", f"{out}/cli-error")
+        digest = hashlib.sha256(f"{code}\n{err.getvalue()}".encode()).hexdigest()
+        yield f"cli-error/{case}", digest
+
+
 def _hash_array(h, a):
     h.update(repr((a.dtype.str, a.shape)).encode())
     h.update(np.ascontiguousarray(a).tobytes())
@@ -219,7 +251,7 @@ def main(argv=None):
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest} {path.relative_to(out).as_posix()}")
-        for name, digest in validate_digests(out):
+        for name, digest in (*validate_digests(out), *usage_error_digests(out)):
             print(f"{digest} {name}")
     for name, digest in operator_digests():
         print(f"{digest} {name}")
