@@ -10,6 +10,7 @@ Market file per matrix.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -55,6 +56,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--levels", type=int, default=None, help="output depth")
     p.add_argument("--rho", type=float, nargs=2, default=(1.0, 1.0))
+    # read "-1e-3" and "-inf" as rates, not options, so skeletal_dilated checks them
+    p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     p.add_argument("--dilated-kind", choices=["box", "cross"], default="box")
     p.add_argument("--weights", choices=["pattern", "prolong"], default="pattern")
     p.add_argument(

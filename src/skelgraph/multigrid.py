@@ -16,7 +16,9 @@ corrections combine (a plain sum or energy-optimal weights).  Work is
 counted in smoothing units, charged where each sweep runs: one sweep costs
 the nonzero count of its matrix; transfers are free; ``cycle_cost``
 recomputes it analytically as the check.  All solvers are free of
-randomness, so traces are bit-reproducible.
+randomness, so traces are bit-reproducible.  Every solver's finest grid is
+the object ``problem.A`` (the recursive grid (k, k) and the levelwise top
+level are that Kronecker sum), so its cached sweep schedule is shared.
 
 The cycle runs one depth at a time: all visits to a grid sit at one depth
 (2k - l1 - l2 for the recursive solver's grid (l1, l2)) and read only their
@@ -59,8 +61,9 @@ __all__ = [
 ]
 
 RESIDUAL_FLOOR = 1e-10
-# solver set-up grows ~4x per step of k and peaks at 2.4 GB or more at k = 11,
-# so at k = 12 (where build_problem alone peaks at 3.1 GB) it needs ~10 GB
+# set-up peaks at 2.37 / 2.31 / 3.33 GB at k = 11 (classical / recursive / levelwise,
+# whose finest grid is problem.A; tools/solver_peak.py ALG 11 --cycles 0) and grows ~4x
+# per step of k, so at k = 12 (where build_problem alone peaks at 3.1 GB) it needs ~10 GB
 MAX_BENCHMARK_K = 11
 
 
@@ -435,15 +438,17 @@ class RecursiveSkeletal(_GalerkinCycle):
     def __init__(self, problem, gamma=1):
         k = problem.k
         ops1, ops2 = problem.factor_ops
-        # dense factor prolongations; p1[i] maps level i to i+1
-        p1, p2 = ([None] + [p.to_dense() for p in pro] for pro in problem.factor_prolong)
+        pro1, pro2 = problem.factor_prolong
+        # dense factor prolongations, one copy if the dimensions share them; p1[i]: i -> i+1
+        p1 = [None] + [p.to_dense() for p in pro1]
+        p2 = p1 if pro2 is pro1 else [None] + [p.to_dense() for p in pro2]
         ops, children = {}, {}
         # depth first from the finest grid, the order in which the cycle first
         # reaches them: building the small grids first raises peak memory
         order = [(l1, k) for l1 in range(k, 0, -1)]
         order += [(l1, l2) for l1 in range(1, k + 1) for l2 in range(k - 1, 0, -1)]
         for l1, l2 in order:
-            ops[l1, l2] = kron_sum(ops1[l1 - 1], ops2[l2 - 1])
+            ops[l1, l2] = problem.A if l1 == l2 == k else kron_sum(ops1[l1 - 1], ops2[l2 - 1])
             coarser = (_Child((l1 - 1, l2), p1[l1 - 1], 0), _Child((l1, l2 - 1), p2[l2 - 1], 1))
             children[l1, l2] = [child for child in coarser if child.p is not None]
         super().__init__(problem, gamma, (k, k), ops, children)
@@ -467,9 +472,9 @@ class LevelwiseSkeletal(_GalerkinCycle):
         self.blocks, ops, self.transfer, children = {}, {}, {}, {2: []}
         for L, (codec, a, p) in enumerate(levels, start=2):
             self.blocks[L] = [tuple(i + 1 for i in lvec) for lvec in codec.blocks]
-            ops[L] = a
+            ops[L] = a() if L < 2 * k else problem.A
             if p is not None:
-                self.transfer[L] = _renormalize_columns(p)
+                self.transfer[L] = _renormalize_columns(p())
                 children[L] = [_Child(L - 1, self.transfer[L])]
         super().__init__(problem, gamma, 2 * k, ops, children)
 

@@ -22,6 +22,7 @@ block reaches is refused.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -80,7 +81,8 @@ def _partial_horizon(tops, level_of):
 
 def _check_depth(max_level, deepest):
     """Refuse an output depth no block reaches: level maps are monotone, so
-    the deepest level any block reaches is that of the factors' top levels."""
+    the deepest level any block reaches is that of the factors' top levels (0 when empty)."""
+    deepest = max(deepest, 0)
     if not 0 <= max_level <= deepest:
         raise ValueError(
             f"output depth {max_level} is outside 0..{deepest}, the levels the factors reach"
@@ -95,13 +97,14 @@ def _assemble_product(ggs, kind, level_of, max_level, weights, meta):
     horizon = _partial_horizon(tops, level_of)
     if max_level is None:
         # dilation rates above one can put the horizon past the deepest level
-        max_level = min(max(horizon - 1, 0), level_of(tops))
+        max_level = max(min(horizon - 1, level_of(tops)), 0)
     _check_depth(max_level, level_of(tops))
-    codecs, mats, inter = zip(*_product_levels(
+    levels = _product_levels(
         [[g.adj for g in gg.levels] for gg in ggs],
         [gg.prolong if weights == "prolong" else gg.inter for gg in ggs],
         kind, level_of, max_level, meta.get("mode"),
-    ))
+    )
+    codecs, mats, inter = zip(*((codec, a(), p and p()) for codec, a, p in levels))
     names = ",".join(gg.meta.get("name", "?") for gg in ggs)
     meta = dict(
         meta,
@@ -119,8 +122,9 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
     hierarchy, over per-factor lists of level matrices and of coarse-to-fine
     maps (None for a factor without them).
 
-    Yields, for each output level 0..max_level, its codec, its assembled
-    matrix and the coarse-to-fine map from the level below (None at level 0).
+    Yields, for each output level 0..max_level, its codec and callables that
+    assemble its matrix and the coarse-to-fine map from the level below (None
+    at level 0), to call in that order before the next level, or to skip.
     Edges are enumerated by level-shift class: each factor either stays on
     its level (its level matrix, or an identity under the box rule) or moves
     one level (its map); a class survives iff the output level changes by at
@@ -166,8 +170,8 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
                     down[b, index[clevel][cvec]] = (lvec, cvec, d)
         yield (
             codecs[level],
-            assemble(intra, level, level),
-            assemble(down, level, level - 1) if level else None,
+            functools.partial(assemble, intra, level, level),
+            functools.partial(assemble, down, level, level - 1) if level else None,
         )
 
 
@@ -366,8 +370,8 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
     forward = np.empty(level.size, dtype=np.int64)
     forward[np.argsort(level, kind="stable")] = np.arange(level.size)
     gathered = permute(kept, Permutation(forward))
-    # minlength keeps the slot of a level no vertex lies on (an empty top level)
-    level_sizes = np.bincount(level, minlength=gg1.num_levels + gg2.num_levels - 1)
+    # minlength keeps the slot of an output level no vertex lies on
+    level_sizes = np.bincount(level, minlength=max_level + 1)
     offsets = np.concatenate([[0], np.cumsum(level_sizes)]).astype(np.int64)
     levels = [
         Graph(submatrix(gathered, offsets[L], offsets[L + 1], offsets[L], offsets[L + 1]))

@@ -279,6 +279,36 @@ def test_oracle_check_on_a_lineage_without_levels(tmp_path, capsys, kind, order)
     assert read_lineage(out).level_sizes() == [0]
 
 
+@pytest.mark.parametrize("kind", ["box", "cross", "strong"])
+def test_product_of_two_lineages_without_levels(tmp_path, capsys, kind):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "manifest.json").write_text(json.dumps(
+        {"numLevels": 0, "levelFiles": [], "interFiles": [], "prolongFiles": []}))
+    for flags in ([], ["--oracle-check"]):
+        out = tmp_path / f"prod{len(flags)}"
+        assert main(["product", kind, str(empty), str(empty), *flags, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("oracle check passed\n") == bool(flags)
+        assert read_lineage(out).level_sizes() == [0]
+
+
+@pytest.mark.parametrize("rho, message", [
+    (["-1e-3", "1"], "dilation rates must be positive"),
+    (["-inf", "1"], "dilation rates must be finite"),
+    (["1", "-inf"], "dilation rates must be finite"),
+], ids=["minus-1e-3-first", "minus-inf-first", "minus-inf-second"])
+def test_product_reads_a_negative_dilation_rate_as_a_value(tmp_path, capsys, rho, message):
+    a = tmp_path / "a"
+    main(["gen", "path", "--levels", "2", "--out", str(a)])
+    capsys.readouterr()
+    out = tmp_path / "prod"
+    assert main(["product", "dilated", str(a), str(a), "--rho", *rho, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_export_formats(tmp_path):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "2", "--out", str(src)])

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from skelgraph import multigrid
+from skelgraph import multigrid, skeletal
 from skelgraph.multigrid import (
     ALGORITHMS,
     ClassicalMultigrid,
@@ -17,6 +17,7 @@ from skelgraph.multigrid import (
     make_solver,
     run_benchmark,
 )
+from skelgraph.skeletal import _product_levels
 from skelgraph.sparse import SparseMatrix, identity, kron, kron_sum
 
 
@@ -447,6 +448,63 @@ def test_levelwise_block_structure():
     assert solver.ops[2 * k] == prob.A
     classical = ClassicalMultigrid(prob)
     assert solver.cycle_cost > classical.cycle_cost
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_finest_grid_is_the_problem_operator(k, monkeypatch):
+    prob = build_problem(k, 1)
+    top_factors = (prob.factor_ops[0][-1], prob.factor_ops[1][-1])
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return kron_sum(a, b)
+
+    monkeypatch.setattr(multigrid, "kron_sum", counted)
+    monkeypatch.setattr(skeletal, "kron_sum", counted)
+    for name in ("skeletal_recursive_v", "skeletal_recursive_w", "skeletal_levelwise_v"):
+        calls.clear()
+        solver = make_solver(name, prob)
+        assert solver.ops[solver.top] is prob.A, name
+        # every grid but the finest is one Kronecker sum of its factor levels
+        assert len(calls) == k * k - 1, name
+        assert not any(a is top_factors[0] and b is top_factors[1] for a, b in calls), name
+    # the level-2k matrix the levelwise solver no longer assembles is A, triplet for triplet
+    *_, (codec, top, _) = _product_levels(prob.factor_ops, prob.factor_prolong, "box", sum,
+                                          2 * k - 2)
+    assert codec.blocks == ((k - 1, k - 1),)
+    a = top()
+    assert a.shape == prob.A.shape
+    for got, want in ((a.rows, prob.A.rows), (a.cols, prob.A.cols), (a.vals, prob.A.vals)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_recursive_solver_densifies_shared_factor_prolongations_once():
+    prob = build_problem(4, 1)
+    assert prob.factor_prolong[0] is prob.factor_prolong[1]
+    along0, along1 = RecursiveSkeletal(prob).children[4, 4]
+    assert (along0.axis, along1.axis) == (0, 1) and along0.p is along1.p
+
+
+def test_solvers_of_one_problem_share_the_schedule_of_its_operator(monkeypatch):
+    prob = build_problem(4, 1)
+    scheduled = []
+
+    def recorded(a):
+        scheduled.append(a)
+        return schedule(a)
+
+    schedule = multigrid._wavefront_schedule
+    monkeypatch.setattr(multigrid, "_wavefront_schedule", recorded)
+    x = np.zeros(prob.n ** 2)
+    ClassicalMultigrid(prob).cycle(x)
+    assert any(a is prob.A for a in scheduled)
+    shared, scheduled[:] = prob.A._sweep_cache, []
+    for name in ("skeletal_recursive_v", "skeletal_levelwise_v"):
+        make_solver(name, prob).cycle(x)
+    # no second copy of A, and so no second schedule of it
+    assert scheduled and not any(a == prob.A for a in scheduled)
+    assert prob.A._sweep_cache is shared
 
 
 @pytest.mark.parametrize("k", [3, 4])

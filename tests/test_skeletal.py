@@ -496,6 +496,20 @@ def test_flat_assembly_oracle_on_a_lineage_without_levels():
                 assert product_via_flat_assembly(gg1, gg2, kind, L) == direct
 
 
+def test_products_of_two_lineages_without_levels():
+    # like one empty factor: one empty level 0, and a deeper level is refused
+    empty = GradedGraph([], [], None, {"name": "empty"})
+    for kind, build in (("cross", skeletal_cross), ("box", skeletal_box),
+                        ("strong", skeletal_strong)):
+        for L in (None, 0):
+            direct = build(empty, empty, L)
+            assert direct.level_sizes() == [0]
+            assert product_via_flat_assembly(empty, empty, kind, L) == direct
+        for construct in (build, lambda a, b, L: product_via_flat_assembly(a, b, kind, L)):
+            with pytest.raises(ValueError, match="output depth 1 is outside 0..0"):
+                construct(empty, empty, 1)
+
+
 def _scipy_flat_reference(gg1, gg2, kind, depth):
     """The flat-assembly oracle recomputed from scipy's Kronecker product of
     the whole flat factors, masked and gathered by the same level tags.
