@@ -197,7 +197,7 @@ def _cmd_bench(args):
     unknown = [a for a in args.algorithms if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithms {unknown}")
-    if args.budget < 0:
+    if not args.budget >= 0:  # a NaN budget fails too
         raise ValueError("budget must be nonnegative")
     trace = run_benchmark(args.k, args.bc, args.algorithms, args.budget)
     Path(args.out).write_text(trace.to_csv())

@@ -21,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, complete_graph, loop_vertex, path_graph
+from .graphs import (Graph, box_product, complete_graph, cross_product, disjoint_union,
+                     loop_vertex, path_graph)
 from .sparse import (
     BadFileError,
     SparseMatrix,
     block_assemble,
     kron,
-    kron_sum,
     pattern,
     read_matrix_market,
     support_subset,
@@ -231,6 +231,8 @@ def _root(root_self_loop):
 
 def unit_lineage(num_top_level):
     """Every level is a single vertex with a self-loop, levels linked one-to-one."""
+    if num_top_level < 0:
+        raise ValueError("the top level must be nonnegative")
     one = SparseMatrix(1, 1, [0], [0], [1.0])
     levels = [Graph(one)] * (num_top_level + 1)
     inter = [one] * num_top_level
@@ -239,6 +241,8 @@ def unit_lineage(num_top_level):
 
 def _pair_lineage(num_top_level, root_self_loop, level_graph, name):
     """Level l is level_graph(2**l); fine pairs aggregate to parents."""
+    if num_top_level < 0:
+        raise ValueError("the top level must be nonnegative")
     levels = [_root(root_self_loop)]
     inter, prolong = [], []
     for l in range(1, num_top_level + 1):
@@ -259,38 +263,32 @@ def complete_lineage(num_top_level, root_self_loop=True):
     return _pair_lineage(num_top_level, root_self_loop, complete_graph, "complete")
 
 
+def _levelwise(gg1, gg2, product, pair, name):
+    """Level l is the graph ``product`` of the two level-l graphs; each pair
+    of inter-level maps, and of prolongations, is joined by ``pair``."""
+    if gg1.num_levels != gg2.num_levels:
+        raise ValueError("levelwise products need equally deep factors")
+    levels = list(map(product, gg1.levels, gg2.levels))
+    inter = list(map(pair, gg1.inter, gg2.inter))
+    prolong = None
+    if gg1.prolong is not None and gg2.prolong is not None:
+        prolong = tuple(map(pair, gg1.prolong, gg2.prolong))
+    return GradedGraph(levels, inter, prolong, {"name": name})
+
+
 def levelwise_product(gg1, gg2, kind="box"):
     """Full per-level product: level l is G1_l * G2_l, maps are Kronecker pairs.
 
     This is the naive construction whose level sizes multiply; the skeletal
     products exist to avoid it.
     """
-    if gg1.num_levels != gg2.num_levels:
-        raise ValueError("levelwise product needs equally deep factors")
-    op = kron_sum if kind == "box" else kron
-    levels = [
-        Graph(op(a.adj, b.adj), a.undirected) for a, b in zip(gg1.levels, gg2.levels)
-    ]
-    inter = [kron(s1, s2) for s1, s2 in zip(gg1.inter, gg2.inter)]
-    prolong = None
-    if gg1.prolong is not None and gg2.prolong is not None:
-        prolong = tuple(kron(p1, p2) for p1, p2 in zip(gg1.prolong, gg2.prolong))
-    return GradedGraph(levels, inter, prolong, {"name": f"levelwise-{kind}"})
+    product = box_product if kind == "box" else cross_product
+    return _levelwise(gg1, gg2, product, kron, f"levelwise-{kind}")
 
 
 def levelwise_oplus(gg1, gg2):
     """Per-level disjoint union; inter maps stay block-diagonal."""
-    if gg1.num_levels != gg2.num_levels:
-        raise ValueError("levelwise sum needs equally deep factors")
-    levels = [
-        Graph(_block_diagonal(a.adj, b.adj), a.undirected)
-        for a, b in zip(gg1.levels, gg2.levels)
-    ]
-    inter = [_block_diagonal(s1, s2) for s1, s2 in zip(gg1.inter, gg2.inter)]
-    prolong = None
-    if gg1.prolong is not None and gg2.prolong is not None:
-        prolong = tuple(_block_diagonal(p1, p2) for p1, p2 in zip(gg1.prolong, gg2.prolong))
-    return GradedGraph(levels, inter, prolong, {"name": "levelwise-sum"})
+    return _levelwise(gg1, gg2, disjoint_union, _block_diagonal, "levelwise-sum")
 
 
 def _block_diagonal(a, b):

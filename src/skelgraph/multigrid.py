@@ -2,10 +2,10 @@
 
 The 2D operator is the negated five-point Laplacian on the interior of the
 unit square (diagonal 4, off-diagonal -1), which factors as the Kronecker
-sum of two 1D tridiagonals.  Each 1D factor carries its own hierarchy of
-pair-aggregation prolongations with orthonormal columns, so coarsening one
+sum of one 1D tridiagonal with itself.  Both axes share one 1D hierarchy
+of pair-aggregation prolongations with orthonormal columns, so coarsening one
 dimension at a time is an exact Galerkin identity and the recursive solver
-can semicoarsen along either factor.
+can semicoarsen along either axis.
 
 All solvers run one Galerkin gamma-cycle: smooth, restrict, run the coarser
 grids gamma times (``gamma=1`` a V-cycle, ``gamma=2`` a W-cycle), prolong,
@@ -73,8 +73,8 @@ class DirichletProblem:
     n: int
     A: SparseMatrix
     b: np.ndarray
-    factor_ops: tuple      # [dim][i-1] -> 1D operator at level i, i = 1..k
-    factor_prolong: tuple  # [dim][i-1] -> map from level i to i+1, i = 1..k-1
+    ops1d: tuple      # [i-1] -> 1D operator at level i, i = 1..k, for both axes
+    prolong1d: tuple  # [i-1] -> 1D map from level i to i+1, i = 1..k-1
     bc: int
 
 
@@ -152,8 +152,7 @@ def build_problem(k, bc):
     ops.reverse()
     prolong.reverse()
     a = kron_sum(ops[-1], ops[-1])
-    ops, prolong = tuple(ops), tuple(prolong)
-    return DirichletProblem(k, n, a, _boundary_rhs(k, bc), (ops, ops), (prolong, prolong), bc)
+    return DirichletProblem(k, n, a, _boundary_rhs(k, bc), tuple(ops), tuple(prolong), bc)
 
 
 def export_problem(problem, directory):
@@ -410,10 +409,9 @@ class ClassicalMultigrid(_GalerkinCycle):
     """Geometric multigrid coarsening both dimensions at once (Galerkin)."""
 
     def __init__(self, problem, gamma=1):
-        pro1, _ = problem.factor_prolong
         ops, children = [None] * problem.k + [problem.A], [[] for _ in range(problem.k + 1)]
         for i in range(problem.k - 1, 0, -1):
-            p2 = kron(pro1[i - 1], pro1[i - 1])
+            p2 = kron(problem.prolong1d[i - 1], problem.prolong1d[i - 1])
             ops[i] = p2.T @ ops[i + 1] @ p2
             children[i + 1] = [_Child(i, p2)]
         super().__init__(problem, gamma, problem.k, ops, children)
@@ -436,27 +434,24 @@ class RecursiveSkeletal(_GalerkinCycle):
     energy_weights = True
 
     def __init__(self, problem, gamma=1):
-        k = problem.k
-        ops1, ops2 = problem.factor_ops
-        pro1, pro2 = problem.factor_prolong
-        # dense factor prolongations, one copy if the dimensions share them; p1[i]: i -> i+1
-        p1 = [None] + [p.to_dense() for p in pro1]
-        p2 = p1 if pro2 is pro1 else [None] + [p.to_dense() for p in pro2]
+        k, ops1d = problem.k, problem.ops1d
+        # the dense 1D prolongations, one list for both axes; p[i]: i -> i+1
+        p = [None] + [q.to_dense() for q in problem.prolong1d]
         ops, children = {}, {}
         # depth first from the finest grid, the order in which the cycle first
         # reaches them: building the small grids first raises peak memory
         order = [(l1, k) for l1 in range(k, 0, -1)]
         order += [(l1, l2) for l1 in range(1, k + 1) for l2 in range(k - 1, 0, -1)]
         for l1, l2 in order:
-            ops[l1, l2] = problem.A if l1 == l2 == k else kron_sum(ops1[l1 - 1], ops2[l2 - 1])
-            coarser = (_Child((l1 - 1, l2), p1[l1 - 1], 0), _Child((l1, l2 - 1), p2[l2 - 1], 1))
+            ops[l1, l2] = problem.A if l1 == l2 == k else kron_sum(ops1d[l1 - 1], ops1d[l2 - 1])
+            coarser = (_Child((l1 - 1, l2), p[l1 - 1], 0), _Child((l1, l2 - 1), p[l2 - 1], 1))
             children[l1, l2] = [child for child in coarser if child.p is not None]
         super().__init__(problem, gamma, (k, k), ops, children)
 
 
 class LevelwiseSkeletal(_GalerkinCycle):
     """Classical multigrid over summed-level systems, whose hierarchy is the
-    skeletal box product of the two 1D operator hierarchies: the level-L
+    skeletal box product of the 1D operator hierarchy with itself: the level-L
     operator is the block diagonal of every factor-level pair (i1, i2) with
     i1 + i2 = L, transfers move one factor per block and are
     column-renormalized."""
@@ -468,14 +463,13 @@ class LevelwiseSkeletal(_GalerkinCycle):
     def __init__(self, problem, gamma=1):
         k = problem.k
         # 1D level i sits at index i - 1, so summed level L comes out at index L - 2
-        levels = _product_levels(problem.factor_ops, problem.factor_prolong, "box", sum, 2 * k - 2)
-        self.blocks, ops, self.transfer, children = {}, {}, {}, {2: []}
+        levels = _product_levels([problem.ops1d] * 2, [problem.prolong1d] * 2, "box", sum, 2 * k - 2)
+        self.blocks, ops, children = {}, {}, {2: []}
         for L, (codec, a, p) in enumerate(levels, start=2):
             self.blocks[L] = [tuple(i + 1 for i in lvec) for lvec in codec.blocks]
             ops[L] = a() if L < 2 * k else problem.A
             if p is not None:
-                self.transfer[L] = _renormalize_columns(p())
-                children[L] = [_Child(L - 1, self.transfer[L])]
+                children[L] = [_Child(L - 1, _renormalize_columns(p()))]
         super().__init__(problem, gamma, 2 * k, ops, children)
 
 

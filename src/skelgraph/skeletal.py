@@ -143,10 +143,9 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
         for table in tables
     ]
     deltas = list(itertools.product((-1, 0, 1), repeat=len(level_mats)))
+    # under sum grading the level test below drops every class the hat rule drops
     if kind == "box":
         deltas = [d for d in deltas if sum(map(abs, d)) <= 1]
-    elif mode == "hat":
-        deltas = [d for d in deltas if abs(sum(d)) <= 1]
     elif mode == "tilde":
         deltas = [d for d in deltas if _alternating(d)]
 

@@ -66,8 +66,11 @@ class SparseMatrix:
     __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "_csr_cache", "_sweep_cache")
 
     def __init__(self, nrows, ncols, rows=(), cols=(), vals=()):
+        nrows, ncols = int(nrows), int(ncols)
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
+        if max(nrows, ncols, nrows * ncols) >= 2 ** 63:  # int64 keys row * ncols + col
+            raise ValueError(f"matrix dimensions {nrows} x {ncols} exceed the int64 index range")
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals, dtype=np.float64).ravel()
@@ -93,8 +96,8 @@ class SparseMatrix:
                 keep = merged != 0.0
                 keys = keys[first][keep]
                 rows, cols, vals = keys // ncols, keys % ncols, merged[keep]
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
+        self.nrows = nrows
+        self.ncols = ncols
         self.rows = rows
         self.cols = cols
         self.vals = vals
@@ -500,16 +503,19 @@ def read_matrix_market(path):
     keywords are case-insensitive, as the format (NIST IR 5935) specifies.
     """
     with open(path) as fh:
-        header = fh.readline().strip().split()
+        try:
+            header = fh.readline().strip().split()
+            line = fh.readline()
+            while line.startswith("%"):
+                line = fh.readline()
+        except UnicodeDecodeError:
+            raise BadFileError(f"{path}: not UTF-8 text") from None
         words = [w.lower() for w in header[1:5]]
         if len(header) < 5 or header[0] != "%%MatrixMarket" or words[:2] != ["matrix", "coordinate"]:
             raise BadFileError(f"{path}: not a coordinate Matrix Market matrix file")
         if words[2] not in ("real", "integer") or words[3] not in ("general", "symmetric"):
             raise BadFileError(f"{path}: unsupported Matrix Market type {' '.join(header[3:5])}")
         symmetric = words[3] == "symmetric"
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
         try:
             nrows, ncols, nnz = (int(t) for t in line.split())
             with warnings.catch_warnings():

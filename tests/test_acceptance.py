@@ -273,8 +273,7 @@ def test_criterion_08_growth_bounds():
 
 def test_criterion_09_semicoarsening_identity():
     prob = build_problem(5, 1)
-    ops, _ = prob.factor_ops
-    pros, _ = prob.factor_prolong
+    ops, pros = prob.ops1d, prob.prolong1d
     worst = 0.0
     for i1 in range(1, 6):
         for i2 in range(1, 6):

@@ -122,23 +122,26 @@ def test_validate_flags_corruption(tmp_path):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda text: "\n".join(text.splitlines()[:-2]) + "\n",
-    lambda text: text.replace("coordinate real", "coordinate pattern", 1),
-    lambda text: text.replace("8 8 7\n", "8 8 8\n") + "1 2 1.0\n",
-    lambda text: text + "1 1 1.0\n",
-    lambda text: text.replace("\n8 7 ", "\n9 7 "),
-    lambda text: text.replace("real symmetric", "real general", 1),
-    lambda text: text.replace("\n8 7 1.0", "\n8 7 -1.0"),
-    lambda text: text.replace("8 8 7\n", "8 9 7\n"),
-    lambda text: text.replace("matrix coordinate", "vector coordinate", 1),
+    lambda data: b"\n".join(data.splitlines()[:-2]) + b"\n",
+    lambda data: data.replace(b"coordinate real", b"coordinate pattern", 1),
+    lambda data: data.replace(b"8 8 7\n", b"8 8 8\n") + b"1 2 1.0\n",
+    lambda data: data + b"1 1 1.0\n",
+    lambda data: data.replace(b"\n8 7 ", b"\n9 7 "),
+    lambda data: data.replace(b"real symmetric", b"real general", 1),
+    lambda data: data.replace(b"\n8 7 1.0", b"\n8 7 -1.0"),
+    lambda data: data.replace(b"8 8 7\n", b"8 9 7\n"),
+    lambda data: data.replace(b"matrix coordinate", b"vector coordinate", 1),
+    lambda data: data.replace(b"symmetric\n", b"symmetric\n% caf\xe9\n", 1),
+    lambda data: data.replace(b"8 8 7\n", b"8 99999999999999999999993 7\n"),
 ], ids=["truncated", "pattern-header", "symmetric-upper-entry", "extra-entry", "index-out-of-range",
-        "general-lower-triangle", "negative-value", "non-square", "vector-banner"])
+        "general-lower-triangle", "negative-value", "non-square", "vector-banner",
+        "non-utf8-comment", "huge-dimension"])
 def test_validate_malformed_matrix_is_one_error_line(tmp_path, capsys, corrupt):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "3", "--out", str(src)])
     capsys.readouterr()
     target = src / "level_03.mtx"
-    target.write_text(corrupt(target.read_text()))
+    target.write_bytes(corrupt(target.read_bytes()))
     assert main(["validate", str(src)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "level_03.mtx" in err
@@ -355,6 +358,14 @@ def test_bench_zero_budget(tmp_path):
     assert main(["bench", "--k", "2", "--bc", "2", "--budget", "0", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 3  # header plus one initial row per default algorithm
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_bench_refuses_a_negative_or_nan_budget(tmp_path, capsys, budget):
+    code = main(["bench", "--k", "3", "--bc", "1", "--budget", budget,
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1 and capsys.readouterr().err == "error: budget must be nonnegative\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_bench_rejects_unknown_algorithm(tmp_path):

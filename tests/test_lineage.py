@@ -67,6 +67,13 @@ def test_grid2d_lineage_examples():
     assert validate(gg).ok
 
 
+@pytest.mark.parametrize("generator", [unit_lineage, path_lineage, complete_lineage,
+                                       grid2d_lineage])
+def test_generators_refuse_a_negative_top_level(generator):
+    with pytest.raises(ValueError, match="top level must be nonnegative"):
+        generator(-2)
+
+
 def test_root_flag_drops_self_loop():
     gg = path_lineage(1, root_self_loop=False)
     assert gg.levels[0].adj.nnz == 0

@@ -92,7 +92,7 @@ def test_problem_matches_loop_references_byte_for_byte(k):
     for bc in (1, 2):
         prob = build_problem(k, bc)
         assert prob.b.tobytes() == _loop_boundary_rhs(k, bc).tobytes()
-    for i, p in enumerate(prob.factor_prolong[0], start=1):
+    for i, p in enumerate(prob.prolong1d, start=1):
         ref = _loop_pair_prolongation(2 ** i - 1)
         assert p.shape == ref.shape
         for got, want in ((p.rows, ref.rows), (p.cols, ref.cols), (p.vals, ref.vals)):
@@ -109,7 +109,7 @@ def test_build_problem_operator_shape():
 
 def test_build_problem_spd_and_box_structure():
     prob = build_problem(3, 1)
-    one_d = prob.factor_ops[0][-1]
+    one_d = prob.ops1d[-1]
     assert prob.A == kron_sum(one_d, one_d)
     rng = np.random.default_rng(0)
     dense = prob.A.to_dense()
@@ -135,8 +135,7 @@ def test_run_benchmark_refuses_k_whose_solvers_do_not_fit():
 
 def test_factor_galerkin_consistency():
     prob = build_problem(5, 1)
-    ops, _ = prob.factor_ops
-    pros, _ = prob.factor_prolong
+    ops, pros = prob.ops1d, prob.prolong1d
     for i in range(len(pros)):
         coarse = (pros[i].T @ ops[i + 1] @ pros[i]).to_dense()
         assert np.max(np.abs(coarse - ops[i].to_dense())) <= 1e-12
@@ -144,7 +143,7 @@ def test_factor_galerkin_consistency():
 
 def test_factor_prolongations_orthonormal():
     prob = build_problem(5, 1)
-    for p in prob.factor_prolong[0]:
+    for p in prob.prolong1d:
         gram = (p.T @ p).to_dense()
         assert np.max(np.abs(gram - np.eye(p.ncols))) <= 1e-12
 
@@ -152,8 +151,7 @@ def test_factor_prolongations_orthonormal():
 def test_semicoarsening_identity_all_hierarchy_edges():
     # coarsening one factor at a time is an exact Galerkin triple product
     prob = build_problem(5, 1)
-    ops, _ = prob.factor_ops
-    pros, _ = prob.factor_prolong
+    ops, pros = prob.ops1d, prob.prolong1d
     k = prob.k
     worst = 0.0
     for i1 in range(1, k + 1):
@@ -453,7 +451,7 @@ def test_levelwise_block_structure():
 @pytest.mark.parametrize("k", range(2, 8))
 def test_finest_grid_is_the_problem_operator(k, monkeypatch):
     prob = build_problem(k, 1)
-    top_factors = (prob.factor_ops[0][-1], prob.factor_ops[1][-1])
+    one_d = prob.ops1d[-1]
     calls = []
 
     def counted(a, b):
@@ -468,9 +466,9 @@ def test_finest_grid_is_the_problem_operator(k, monkeypatch):
         assert solver.ops[solver.top] is prob.A, name
         # every grid but the finest is one Kronecker sum of its factor levels
         assert len(calls) == k * k - 1, name
-        assert not any(a is top_factors[0] and b is top_factors[1] for a, b in calls), name
+        assert not any(a is one_d and b is one_d for a, b in calls), name
     # the level-2k matrix the levelwise solver no longer assembles is A, triplet for triplet
-    *_, (codec, top, _) = _product_levels(prob.factor_ops, prob.factor_prolong, "box", sum,
+    *_, (codec, top, _) = _product_levels([prob.ops1d] * 2, [prob.prolong1d] * 2, "box", sum,
                                           2 * k - 2)
     assert codec.blocks == ((k - 1, k - 1),)
     a = top()
@@ -481,7 +479,6 @@ def test_finest_grid_is_the_problem_operator(k, monkeypatch):
 
 def test_recursive_solver_densifies_shared_factor_prolongations_once():
     prob = build_problem(4, 1)
-    assert prob.factor_prolong[0] is prob.factor_prolong[1]
     along0, along1 = RecursiveSkeletal(prob).children[4, 4]
     assert (along0.axis, along1.axis) == (0, 1) and along0.p is along1.p
 
@@ -512,11 +509,12 @@ def test_levelwise_hierarchy_matches_dense_kronecker_reference(k):
     # every level operator and transfer, rebuilt densely from the 1D factors
     prob = build_problem(k, 1)
     solver = LevelwiseSkeletal(prob)
-    a1, a2 = ([a.to_dense() for a in ops] for ops in prob.factor_ops)
-    p1, p2 = ([p.to_dense() for p in pro] for pro in prob.factor_prolong)
+    a1 = a2 = [a.to_dense() for a in prob.ops1d]
+    p1 = p2 = [p.to_dense() for p in prob.prolong1d]
+    transfer = {level: c[0].p for level, c in solver.children.items() if c}
     eye = [np.eye(a.shape[0]) for a in a1]
     assert sorted(solver.ops) == list(range(2, 2 * k + 1))
-    assert sorted(solver.transfer) == list(range(3, 2 * k + 1))
+    assert sorted(transfer) == list(range(3, 2 * k + 1))
     for level, blocks in solver.blocks.items():
         assert blocks == [(i1, level - i1) for i1 in range(1, k + 1) if 1 <= level - i1 <= k]
 
@@ -546,13 +544,13 @@ def test_levelwise_hierarchy_matches_dense_kronecker_reference(k):
                     continue
                 want[off[b]:off[b + 1], coff[c]:coff[c + 1]] = block
         want /= np.linalg.norm(want, axis=0)
-        assert np.max(np.abs(solver.transfer[level].to_dense() - want)) <= 1e-15
+        assert np.max(np.abs(transfer[level].to_dense() - want)) <= 1e-15
 
 
 def test_levelwise_transfer_columns_unit_norm():
     prob = build_problem(3, 1)
     solver = LevelwiseSkeletal(prob)
-    for p in solver.transfer.values():
+    for p in (c[0].p for c in solver.children.values() if c):
         norms = np.bincount(p.cols, weights=p.vals ** 2, minlength=p.ncols)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 

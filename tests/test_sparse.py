@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skelgraph import sparse
 from skelgraph.sparse import (
+    BadFileError,
     Permutation,
     SparseMatrix,
     block_assemble,
@@ -50,6 +51,18 @@ def test_canonicalization_sorts_merges_and_drops_zeros():
     assert m.nnz == 1
     assert m.rows.tolist() == [0] and m.cols.tolist() == [1]
     assert m.vals.tolist() == [2.0]
+
+
+def test_constructor_refuses_dimensions_whose_keys_would_wrap():
+    # 2**32 * 2**32 wraps to 0 in int64, which hid the unsorted rows [2**32 - 1, 0]
+    for n in (2 ** 32, np.int64(2 ** 32)):
+        with pytest.raises(ValueError, match="exceed the int64 index range"):
+            SparseMatrix(n, n, [2 ** 32 - 1, 0], [0, 0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="exceed the int64 index range"):
+        SparseMatrix(0, 2 ** 63)
+    # the largest key, nrows * ncols - 1, still fits
+    m = SparseMatrix(2 ** 31, 2 ** 32 - 1, [2 ** 31 - 1, 0], [2 ** 32 - 2, 0], [1.0, 2.0])
+    assert m.rows.tolist() == [0, 2 ** 31 - 1] and m.vals.tolist() == [2.0, 1.0]
 
 
 def sorting_reference(nrows, ncols, rows, cols, vals):
@@ -525,6 +538,55 @@ def test_matrix_market_rejects_what_the_format_forbids(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"m.mtx: {message}"):
         read_matrix_market(path)
+
+
+# a non-UTF-8 byte, an index past 2**32, values that overflow or are not numbers,
+# and stray signs, comment marks and separators
+FUZZ_TOKENS = [b"\xff", b"\xe9", b"4294967296", b"99999999999999999999993", b"1e400", b"nan",
+               b"-inf", b"-1", b"0", b"1.5", b"%", b" ", b"\n"]
+
+
+def _mutate(rng, data):
+    """One seeded damage to a file's bytes: truncate, overwrite a byte, insert
+    a token or duplicate a line."""
+    op, at = int(rng.integers(4)), int(rng.integers(len(data) + 1))
+    if op == 0:
+        return data[:at]
+    if op == 1:
+        return data[:at] + bytes([int(rng.integers(256))]) + data[at + 1:]
+    if op == 2:
+        return data[:at] + FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))] + data[at:]
+    lines = data.splitlines(keepends=True) or [b""]
+    i = int(rng.integers(len(lines)))
+    return b"".join(lines[:i + 1] + lines[i:])
+
+
+def test_matrix_market_reader_survives_seeded_mutations(tmp_path):
+    # every damaged file is refused as a bad file or read into canonical form
+    rng = np.random.default_rng(7)
+    general = random_sparse(rng, 6, 5)
+    symmetric = random_sparse(rng, 6, 6)
+    sources = []
+    for m, sym in ((general, False), (symmetric + symmetric.T, True)):
+        write_matrix_market(tmp_path / "src.mtx", m, symmetric=sym)
+        sources.append((tmp_path / "src.mtx").read_bytes())
+    path, outcomes = tmp_path / "m.mtx", {"refused": 0, "read": 0}
+    for case in range(4000):
+        data = sources[case % 2]
+        for _ in range(int(rng.integers(1, 3))):
+            data = _mutate(rng, data)
+        path.write_bytes(data)
+        try:
+            m = read_matrix_market(path)
+        except BadFileError:
+            outcomes["refused"] += 1
+            continue
+        except Exception as exc:  # the CLI would end in a traceback
+            pytest.fail(f"{data!r} raised {exc!r}")
+        keys = m.rows * m.ncols + m.cols
+        assert np.all(keys[1:] > keys[:-1]), data
+        outcomes["read"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_matrix_market_symmetric_rejects_asymmetric(tmp_path):
