@@ -1,7 +1,7 @@
 """Graphs as adjacency matrices, their three binary products, and spectra.
 
-Vertices are 0-based contiguous integers.  Undirected graphs store both
-directed entries; a self-loop is a single diagonal entry of value 1.  The
+Vertices are 0-based contiguous integers.  Graphs are undirected and store
+both directed entries; a self-loop is a single diagonal entry of value 1.  The
 Laplacian convention is adjacency minus the degree diagonal, so its row
 sums vanish and its spectrum is nonpositive for simple graphs.
 """
@@ -38,15 +38,17 @@ _EIG_MAX_ORDER = 256  # bounds the dense n-by-n copy handed to the solver
 
 @dataclass(frozen=True)
 class Graph:
-    """Adjacency matrix plus an undirectedness flag."""
+    """Adjacency matrix of an undirected graph; ``undirected`` is always True."""
 
     adj: SparseMatrix
     undirected: bool = True
 
     def __post_init__(self):
+        if not self.undirected:
+            raise ValueError("graphs are undirected")
         if self.adj.nrows != self.adj.ncols:
             raise ValueError("adjacency matrix must be square")
-        if self.undirected and not self.adj.is_symmetric():
+        if not self.adj.is_symmetric():
             raise ValueError("undirected graph requires a symmetric adjacency matrix")
         if self.adj.nnz and self.adj.vals.min() < 0:
             raise ValueError("adjacency values must be nonnegative")
@@ -96,34 +98,25 @@ def loop_vertex():
     return Graph(SparseMatrix(1, 1, [0], [0], [1.0]))
 
 
-def _check_flags(g1, g2):
-    if g1.undirected != g2.undirected:
-        raise ValueError("both operands must share the undirected flag")
-
-
 def disjoint_union(g1, g2):
     """Block-diagonal sum; vertices of g2 are shifted by |V(g1)|."""
-    _check_flags(g1, g2)
     sizes = [g1.n, g2.n]
-    return Graph(block_assemble({(0, 0): g1.adj, (1, 1): g2.adj}, sizes, sizes), g1.undirected)
+    return Graph(block_assemble({(0, 0): g1.adj, (1, 1): g2.adj}, sizes, sizes))
 
 
 def box_product(g1, g2):
     """Cartesian product: vertex (i, a) -> i * |V(g2)| + a."""
-    _check_flags(g1, g2)
-    return Graph(kron_sum(g1.adj, g2.adj), g1.undirected)
+    return Graph(kron_sum(g1.adj, g2.adj))
 
 
 def cross_product(g1, g2):
     """Direct product: adjacency is the Kronecker product."""
-    _check_flags(g1, g2)
-    return Graph(kron(g1.adj, g2.adj), g1.undirected)
+    return Graph(kron(g1.adj, g2.adj))
 
 
 def strong_product(g1, g2):
     """Union of box and cross product edges, as a 0/1 adjacency."""
-    _check_flags(g1, g2)
-    return Graph(support_union(kron_sum(g1.adj, g2.adj), kron(g1.adj, g2.adj)), g1.undirected)
+    return Graph(support_union(kron_sum(g1.adj, g2.adj), kron(g1.adj, g2.adj)))
 
 
 def degree_diagonal(g):
@@ -134,8 +127,6 @@ def degree_diagonal(g):
 
 def laplacian(g):
     """Adjacency minus degree diagonal; row sums are exactly zero."""
-    if not g.undirected:
-        raise ValueError("laplacian is defined here for undirected graphs only")
     return g.adj - degree_diagonal(g)
 
 

@@ -9,8 +9,7 @@ transpose restricts and Galerkin triple products reproduce coarse
 operators exactly.
 
 Generators follow the rooted convention: level 0 is one vertex with one
-self-loop (a flag drops the loop for spectral experiments), and level l
-has 2**l vertices.
+self-loop, and level l has 2**l vertices.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import (Graph, box_product, complete_graph, cross_product, disjoint_union,
-                     loop_vertex, path_graph)
+from .graphs import Graph, box_product, complete_graph, disjoint_union, loop_vertex, path_graph
 from .sparse import (
     BadFileError,
     SparseMatrix,
@@ -53,6 +51,9 @@ __all__ = [
 ]
 
 ORTHONORMAL_TOL = 1e-12
+# the generators' cap on top-level entries: `gen complete --levels 12` (16,773,120)
+# peaks at ~1.5 GB, and one level more needs four times that
+MAX_TOP_ENTRIES = 2 ** 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,25 +226,30 @@ def _pair_aggregation(n_coarse):
     return SparseMatrix(2 * n_coarse, n_coarse, rows, cols, np.ones(2 * n_coarse))
 
 
-def _root(root_self_loop):
-    return loop_vertex() if root_self_loop else Graph(SparseMatrix(1, 1))
-
-
 def unit_lineage(num_top_level):
     """Every level is a single vertex with a self-loop, levels linked one-to-one."""
-    if num_top_level < 0:
-        raise ValueError("the top level must be nonnegative")
-    one = SparseMatrix(1, 1, [0], [0], [1.0])
-    levels = [Graph(one)] * (num_top_level + 1)
-    inter = [one] * num_top_level
+    _check_top(num_top_level, "unit", lambda n: 1)
+    one = loop_vertex()
+    levels = [one] * (num_top_level + 1)
+    inter = [one.adj] * num_top_level
     return GradedGraph(levels, inter, tuple(inter), {"name": "unit"})
 
 
-def _pair_lineage(num_top_level, root_self_loop, level_graph, name):
-    """Level l is level_graph(2**l); fine pairs aggregate to parents."""
+def _check_top(num_top_level, name, top_entries):
+    """Refuse a negative depth, or a top level whose ``top_entries(2**depth)``
+    stored entries exceed MAX_TOP_ENTRIES, before anything is built."""
     if num_top_level < 0:
         raise ValueError("the top level must be nonnegative")
-    levels = [_root(root_self_loop)]
+    # every generator is past the cap by depth 24, so a deeper one needs no exact count
+    if top_entries(2 ** min(num_top_level, 64)) > MAX_TOP_ENTRIES:
+        raise ValueError(f"a {name} lineage of depth {num_top_level} would store more than "
+                         f"{MAX_TOP_ENTRIES:,} (2**24) entries at its top level")
+
+
+def _pair_lineage(num_top_level, level_graph, name, top_entries):
+    """Level l is level_graph(2**l); fine pairs aggregate to parents."""
+    _check_top(num_top_level, name, top_entries)
+    levels = [loop_vertex()]
     inter, prolong = [], []
     for l in range(1, num_top_level + 1):
         levels.append(level_graph(2 ** l))
@@ -253,14 +259,14 @@ def _pair_lineage(num_top_level, root_self_loop, level_graph, name):
     return GradedGraph(levels, inter, prolong, {"name": name})
 
 
-def path_lineage(num_top_level, root_self_loop=True):
+def path_lineage(num_top_level):
     """Level l is the path on 2**l vertices; fine pairs aggregate to parents."""
-    return _pair_lineage(num_top_level, root_self_loop, path_graph, "path")
+    return _pair_lineage(num_top_level, path_graph, "path", lambda n: 2 * (n - 1))
 
 
-def complete_lineage(num_top_level, root_self_loop=True):
+def complete_lineage(num_top_level):
     """Level l is the complete graph on 2**l vertices; fine pairs aggregate to parents."""
-    return _pair_lineage(num_top_level, root_self_loop, complete_graph, "complete")
+    return _pair_lineage(num_top_level, complete_graph, "complete", lambda n: n * (n - 1))
 
 
 def _levelwise(gg1, gg2, product, pair, name):
@@ -276,14 +282,13 @@ def _levelwise(gg1, gg2, product, pair, name):
     return GradedGraph(levels, inter, prolong, {"name": name})
 
 
-def levelwise_product(gg1, gg2, kind="box"):
-    """Full per-level product: level l is G1_l * G2_l, maps are Kronecker pairs.
+def levelwise_product(gg1, gg2):
+    """Full per-level box product: level l is G1_l box G2_l, maps are Kronecker pairs.
 
     This is the naive construction whose level sizes multiply; the skeletal
     products exist to avoid it.
     """
-    product = box_product if kind == "box" else cross_product
-    return _levelwise(gg1, gg2, product, kron, f"levelwise-{kind}")
+    return _levelwise(gg1, gg2, box_product, kron, "levelwise-box")
 
 
 def levelwise_oplus(gg1, gg2):
@@ -295,12 +300,13 @@ def _block_diagonal(a, b):
     return block_assemble({(0, 0): a, (1, 1): b}, [a.nrows, b.nrows], [a.ncols, b.ncols])
 
 
-def grid2d_lineage(num_top_level, root_self_loop=True):
+def grid2d_lineage(num_top_level):
     """Level l is the 2**l x 2**l grid: the per-level box square of a path lineage."""
-    p = path_lineage(num_top_level, root_self_loop)
-    gg = levelwise_product(p, p, "box")
+    _check_top(num_top_level, "grid2d", lambda n: 4 * n * (n - 1))
+    p = path_lineage(num_top_level)
+    gg = levelwise_product(p, p)
     # the root's two self-loops stack to weight 2; keep adjacencies 0/1
-    levels = [Graph(pattern(g.adj), g.undirected) for g in gg.levels]
+    levels = [Graph(pattern(g.adj)) for g in gg.levels]
     return GradedGraph(levels, gg.inter, gg.prolong, {"name": "grid2d"})
 
 
@@ -347,7 +353,7 @@ def write_lineage(directory, gg, name=None):
     level_files, inter_files, prolong_files = [], [], []
     for l, g in enumerate(gg.levels):
         fname = f"level_{l:02d}.mtx"
-        write_matrix_market(directory / fname, g.adj, symmetric=g.undirected)
+        write_matrix_market(directory / fname, g.adj, symmetric=True)
         level_files.append(fname)
     for l, s in enumerate(gg.inter):
         fname = f"inter_{l:02d}_{l + 1:02d}.mtx"
@@ -394,6 +400,10 @@ def read_lineage(directory):
         raise BadFileError(f"{where}: interFiles must name one map per consecutive level pair")
     if manifest["prolongFiles"] and len(manifest["prolongFiles"]) != len(manifest["interFiles"]):
         raise BadFileError(f"{where}: prolongFiles must be empty or parallel interFiles")
+    meta = dict(manifest.get("metadata", {}))
+    meta.setdefault("name", manifest.get("name", "lineage"))
+    if not isinstance(meta["name"], str):
+        raise BadFileError(f"{where}: the lineage name must be a string")
     levels = []
     for f in manifest["levelFiles"]:
         adj = read_matrix_market(directory / f)
@@ -405,6 +415,4 @@ def read_lineage(directory):
     prolong = None
     if manifest["prolongFiles"]:
         prolong = tuple(read_matrix_market(directory / f) for f in manifest["prolongFiles"])
-    meta = dict(manifest.get("metadata", {}))
-    meta.setdefault("name", manifest.get("name", "lineage"))
     return GradedGraph(levels, inter, prolong, meta)

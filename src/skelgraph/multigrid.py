@@ -534,6 +534,11 @@ def run_benchmark(k, bc, algorithms, budget):
     budget records just the starting residuals.  Rows are ordered by
     (algorithm, cycle).
     """
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"unknown algorithms {unknown}")
+    if not budget >= 0:  # a NaN budget fails too
+        raise ValueError("budget must be nonnegative")
     if k > MAX_BENCHMARK_K:
         raise ValueError(f"k must be at most {MAX_BENCHMARK_K} to benchmark solvers: "
                          f"their set-up at k = 12 needs ~10 GB or more")

@@ -265,7 +265,7 @@ def test_criterion_08_growth_bounds():
     for build in (skeletal_box, skeletal_cross):
         prof = growth_profile(build(p8, p8), bound=bound)
         assert prof.ok
-    naive = levelwise_product(path_lineage(4), path_lineage(4), "box")
+    naive = levelwise_product(path_lineage(4), path_lineage(4))
     violations = growth_profile(naive, bound=bound).violations
     assert violations and min(violations) <= 4
     announce(8, "skeletal products stay under the doubling bound, naive products break it")

@@ -1,7 +1,12 @@
 """End-to-end exercises of the command-line surface."""
 
 import json
+import resource
+import shutil
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skelgraph.cli import main
@@ -172,8 +177,11 @@ def test_validate_manifest_level_count_mismatch_is_one_error_line(tmp_path, caps
     lambda manifest: dict(manifest, interFiles=manifest["interFiles"][:-1]),
     lambda manifest: dict(manifest, prolongFiles=manifest["prolongFiles"][:-1]),
     lambda manifest: dict(manifest, levelFiles=["../p/" + f for f in manifest["levelFiles"]]),
+    lambda manifest: dict(manifest, metadata=dict(manifest["metadata"], name=["x"])),
+    lambda manifest: dict(manifest, name=5, metadata={}),
 ], ids=["list", "null-level-files", "non-string-file-names", "scalar-metadata", "invalid-json",
-        "missing-num-levels", "inter-files-short", "prolong-files-short", "escaping-file-name"])
+        "missing-num-levels", "inter-files-short", "prolong-files-short", "escaping-file-name",
+        "list-metadata-name", "numeric-name"])
 def test_malformed_manifest_is_one_error_line(tmp_path, capsys, corrupt, command):
     src = tmp_path / "p"
     main(["gen", "path", "--levels", "2", "--out", str(src)])
@@ -190,6 +198,76 @@ def test_malformed_manifest_is_one_error_line(tmp_path, capsys, corrupt, command
     err = capsys.readouterr().err
     assert err.startswith("error:") and "manifest.json" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# type swaps for manifest values, and short tokens for Matrix Market files: a
+# damaged size line stays below 1,000, so no mutant asks for a large allocation
+FUZZ_VALUES = [None, True, 5, 2.5, "x", [], ["x"], [1], {}, {"name": 5}]
+FUZZ_TOKENS = [b"\xff", b"nan", b"-inf", b"-1", b"0", b"1.5", b"7", b"%", b" ", b"\n"]
+FILE_LISTS = ("levelFiles", "interFiles", "prolongFiles")
+
+
+def _lineage_mutants(rng, manifest, files, count):
+    """Yield (what, manifest, files), one seeded fault each: every type swap of
+    a manifest value; each file list with a name dropped or duplicated, or
+    reordered; then ``count`` Matrix Market files truncated, with a byte
+    overwritten, a token inserted or a line duplicated."""
+    for key in ("name", "numLevels", "metadata", *FILE_LISTS):
+        for value in FUZZ_VALUES:
+            yield f"{key}={value!r}", dict(manifest, **{key: value}), files
+    for key in FILE_LISTS:
+        names = manifest[key]
+        i = int(rng.integers(len(names)))
+        for what, edited in (("drop", names[:i] + names[i + 1:]),
+                             ("duplicate", names[:i + 1] + names[i:]),
+                             ("reverse", names[::-1]), ("rotate", names[1:] + names[:1])):
+            yield f"{key} {what} {i}", dict(manifest, **{key: edited}), files
+    names = sorted(files)
+    for case in range(count):
+        name = names[case % len(names)]
+        data = files[name]
+        op, at = int(rng.integers(4)), int(rng.integers(len(data) + 1))
+        if op == 0:
+            data = data[:at]
+        elif op == 1:
+            data = data[:at] + bytes([int(rng.integers(256))]) + data[at + 1:]
+        elif op == 2:
+            data = data[:at] + FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))] + data[at:]
+        else:
+            lines = data.splitlines(keepends=True)
+            i = int(rng.integers(len(lines)))
+            data = b"".join(lines[:i + 1] + lines[i:])
+        yield f"{name} op {op} at {at}: {data!r}", manifest, dict(files, **{name: data})
+
+
+def test_commands_survive_damaged_lineage_directories(tmp_path, capsys):
+    # every command refuses a damaged lineage in one error line, or runs on it
+    main(["gen", "path", "--levels", "2", "--out", str(tmp_path / "p")])
+    main(["gen", "complete", "--levels", "2", "--out", str(tmp_path / "c")])
+    files = files_of(tmp_path / "p")
+    manifest = json.loads(files.pop("manifest.json"))
+    x, out = tmp_path / "x", str(tmp_path / "out")
+    commands = [["validate", str(x)], ["product", "box", str(x), str(tmp_path / "c"), "--out", out],
+                ["thicken", str(x), "--out", out],
+                ["export", str(x), "--level", "1", "--out", str(tmp_path / "level.mtx")]]
+    codes = []
+    for what, damaged, damaged_files in _lineage_mutants(
+            np.random.default_rng(18), manifest, files, 70):
+        shutil.rmtree(x, ignore_errors=True)
+        x.mkdir()
+        for name, data in damaged_files.items():
+            (x / name).write_bytes(data)
+        (x / "manifest.json").write_text(json.dumps(damaged))
+        capsys.readouterr()
+        for argv in commands:
+            try:
+                code = main(argv)
+            except Exception as exc:  # the CLI would end in a traceback
+                pytest.fail(f"{what}: {argv[0]} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and err.count("error:") <= 1, (what, argv[0], err)
+            codes.append(code)
+    assert {0, 1, 2} <= set(codes)
 
 
 def test_missing_lineage_paths_exit_one(tmp_path, capsys):
@@ -335,6 +413,35 @@ def test_cnn_structure_counts(tmp_path):
     assert dot.count(";") >= 28  # at least one line per vertex
     node_lines = [ln for ln in dot.splitlines() if ln.strip().endswith(";") and "--" not in ln]
     assert len(node_lines) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "--levels", "24"],
+    ["gen", "complete", "--levels", "13"],
+    ["gen", "complete", "--levels", "1000000000"],
+    ["gen", "grid2d", "--levels", "12"],
+    ["cnn-structure", "--grid-levels", "12", "--feature-levels", "12"],
+])
+def test_generators_refuse_tops_that_cannot_fit(tmp_path, capsys, argv):
+    # without the refusal each run would need gigabytes: a MemoryError then
+    # fails the test under the address-space limit, before the machine runs out
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    soft = mapped + 2 ** 30
+    if limits[1] != resource.RLIM_INFINITY:
+        soft = min(soft, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (soft, limits[1]))
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert "16,777,216 (2**24) entries" in err
+    assert peak < 2 ** 20 and not (tmp_path / "out").exists()
 
 
 def test_cnn_structure_root_case(tmp_path):

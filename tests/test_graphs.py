@@ -54,8 +54,13 @@ def test_disjoint_union_examples():
     g = disjoint_union(K2, K2)
     assert g.n == 4 and g.edge_count() == 2
     assert disjoint_union(K2, empty_graph(0)).adj == K2.adj
-    with pytest.raises(ValueError):
-        disjoint_union(K2, Graph(K2.adj, undirected=False))
+
+
+def test_graph_refuses_to_be_directed():
+    # the mode is refused whatever the entries, the asymmetric ones it allowed too
+    for adj in (K2.adj, SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)])):
+        with pytest.raises(ValueError, match="graphs are undirected"):
+            Graph(adj, undirected=False)
 
 
 def test_disjoint_union_spectra_merge():
@@ -115,8 +120,6 @@ def test_laplacian_examples():
     assert laplacian(K2) == SparseMatrix.from_dense([[-1.0, 1.0], [1.0, -1.0]])
     assert laplacian(loop_vertex()) == SparseMatrix(1, 1)
     assert np.allclose(laplacian(P3).row_sums(), 0.0)
-    with pytest.raises(ValueError):
-        laplacian(Graph(SparseMatrix(2, 2), undirected=False))
 
 
 def test_jacobi_examples():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from skelgraph import lineage
 from skelgraph.graphs import Graph, empty_graph, path_graph
 from skelgraph.lineage import (
     GradedGraph,
@@ -74,9 +75,14 @@ def test_generators_refuse_a_negative_top_level(generator):
         generator(-2)
 
 
-def test_root_flag_drops_self_loop():
-    gg = path_lineage(1, root_self_loop=False)
-    assert gg.levels[0].adj.nnz == 0
+@pytest.mark.parametrize("generator, cap", [
+    (path_lineage, 2 * 7), (complete_lineage, 8 * 7), (grid2d_lineage, 4 * 8 * 7)])
+def test_generators_cap_their_top_level_entries(monkeypatch, generator, cap):
+    # a cap equal to the depth-3 top's entry count admits depth 3 and refuses depth 4
+    monkeypatch.setattr(lineage, "MAX_TOP_ENTRIES", cap)
+    assert generator(3).levels[3].adj.nnz == cap
+    with pytest.raises(ValueError, match="entries at its top level"):
+        generator(4)
 
 
 def test_validate_reports_orthonormality_deviation():
@@ -194,7 +200,7 @@ def test_growth_profile_path():
 
 def test_growth_profile_flags_naive_product():
     p = path_lineage(4)
-    naive = levelwise_product(p, p, "box")
+    naive = levelwise_product(p, p)
     prof = growth_profile(naive, bound=(2.0, 0.01, 2.0))
     assert 4 in prof.violations  # 256 vertices versus 2 * 2**(4**1.01)
 

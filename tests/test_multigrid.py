@@ -133,6 +133,18 @@ def test_run_benchmark_refuses_k_whose_solvers_do_not_fit():
         run_benchmark(12, 1, ["gauss_seidel"], 0.0)
 
 
+@pytest.mark.parametrize("algorithms, budget, message", [
+    (["classical_mg_v", "zz"], 1e12, r"unknown algorithms \['zz'\]"),
+    (["zz"], float("nan"), r"unknown algorithms \['zz'\]"),
+    (["gauss_seidel"], float("nan"), "budget must be nonnegative"),
+    (["gauss_seidel"], -1.0, "budget must be nonnegative"),
+])
+def test_run_benchmark_checks_names_and_budget_first(algorithms, budget, message):
+    # at k = 12, which is refused next: nothing is built and no solver runs first
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(12, 1, algorithms, budget)
+
+
 def test_factor_galerkin_consistency():
     prob = build_problem(5, 1)
     ops, pros = prob.ops1d, prob.prolong1d
