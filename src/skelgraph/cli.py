@@ -109,8 +109,17 @@ def _cmd_gen(args):
     return 0
 
 
+def _read_to_build(path):
+    """A lineage to build on: a map of the wrong shape makes it a bad file."""
+    gg = lin.read_lineage(path)
+    issues = lin.shape_issues(gg)
+    if issues:
+        raise BadFileError(f"{path}: {issues[0]}")
+    return gg
+
+
 def _cmd_product(args):
-    inputs = [lin.read_lineage(path) for path in args.inputs]
+    inputs = [_read_to_build(path) for path in args.inputs]
     binary = {
         "box": skel.skeletal_box,
         "cross": skel.skeletal_cross,
@@ -149,7 +158,7 @@ def _cmd_product(args):
 
 
 def _cmd_thicken(args):
-    gg = skel.thicken(lin.read_lineage(args.input))
+    gg = skel.thicken(_read_to_build(args.input))
     lin.write_lineage(args.out, gg)
     sizes = ",".join(str(n) for n in gg.level_sizes())
     print(f"wrote thickened lineage (level sizes {sizes}) to {args.out}")

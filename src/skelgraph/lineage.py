@@ -37,6 +37,7 @@ __all__ = [
     "LevelCodec",
     "Diagnostics",
     "assemble_flat",
+    "shape_issues",
     "validate",
     "truncate",
     "unit_lineage",
@@ -175,44 +176,44 @@ class Diagnostics:
         return "\n".join(lines)
 
 
+def shape_issues(gg):
+    """One message per inter-level map or prolongation whose shape is not
+    (|V_{l+1}|, |V_l|); ``validate`` reports them and the builders refuse them."""
+    sizes = gg.level_sizes()
+    return [
+        f"{name} {l}->{l + 1} has shape {m.shape}, expected {(sizes[l + 1], sizes[l])}"
+        for name, maps in (("inter map", gg.inter), ("prolongation", gg.prolong or ()))
+        for l, m in enumerate(maps)
+        if m.shape != (sizes[l + 1], sizes[l])
+    ]
+
+
 def validate(gg):
     """Diagnostic pass: dimensions, patterns, and prolongation orthonormality,
     read off the sparse Gram matrix P^T P without ever densifying it."""
-    issues = []
+    issues = shape_issues(gg)
     sizes = gg.level_sizes()
     stats = []
     for l, g in enumerate(gg.levels):
         ns = gg.inter[l].nnz if l < len(gg.inter) else 0
         stats.append((g.n, g.edge_count(), ns))
-    for l, s in enumerate(gg.inter):
+    for l, p in enumerate(gg.prolong or ()):
         want = (sizes[l + 1], sizes[l])
-        if s.shape != want:
+        if p.shape != want:  # reported by shape_issues
+            continue
+        # an inter map of the wrong shape is reported, not compared
+        if gg.inter[l].shape == want and not support_subset(p, gg.inter[l]):
+            issues.append(f"prolongation {l}->{l + 1} has entries outside the sparsity pattern")
+        gram = p.T @ p  # a missing diagonal entry deviates from I by exactly 1
+        on_diag = gram.rows == gram.cols
+        dev = float(np.max(np.abs(gram.vals - on_diag), initial=0.0))
+        if np.count_nonzero(on_diag) < sizes[l]:
+            dev = max(dev, 1.0)
+        if not dev <= ORTHONORMAL_TOL:  # a NaN deviation fails too
             issues.append(
-                f"inter map {l}->{l + 1} has shape {s.shape}, expected {want}"
+                f"prolongation {l}->{l + 1} columns not orthonormal, "
+                f"max deviation {dev:.3e}"
             )
-    if gg.prolong is not None:
-        for l, p in enumerate(gg.prolong):
-            want = (sizes[l + 1], sizes[l])
-            if p.shape != want:
-                issues.append(
-                    f"prolongation {l}->{l + 1} has shape {p.shape}, expected {want}"
-                )
-                continue
-            # an inter map of the wrong shape is reported above, not compared
-            if gg.inter[l].shape == want and not support_subset(p, gg.inter[l]):
-                issues.append(
-                    f"prolongation {l}->{l + 1} has entries outside the sparsity pattern"
-                )
-            gram = p.T @ p  # a missing diagonal entry deviates from I by exactly 1
-            on_diag = gram.rows == gram.cols
-            dev = float(np.max(np.abs(gram.vals - on_diag), initial=0.0))
-            if np.count_nonzero(on_diag) < sizes[l]:
-                dev = max(dev, 1.0)
-            if not dev <= ORTHONORMAL_TOL:  # a NaN deviation fails too
-                issues.append(
-                    f"prolongation {l}->{l + 1} columns not orthonormal, "
-                    f"max deviation {dev:.3e}"
-                )
     return Diagnostics(issues, stats)
 
 

@@ -30,9 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph
-from .lineage import GradedGraph, LevelCodec, assemble_flat, truncate
+from .lineage import GradedGraph, LevelCodec, assemble_flat
 from .sparse import (
-    Permutation,
     SparseMatrix,
     block_assemble,
     identity,
@@ -289,19 +288,16 @@ def thicken(gg):
     """Unary thickening: output level l stacks levels 0..l of the input,
     assembled flat; consecutive output levels are linked copy-to-copy with
     the copied graph's own adjacency."""
-    levels = [assemble_flat(truncate(gg, l)) for l in range(gg.num_levels)]
-    inner_sizes = gg.level_sizes()
-    inter = []
-    for l in range(gg.top):
-        blocks = {(i, i): gg.levels[i].adj for i in range(l + 1)}
-        inter.append(
-            block_assemble(blocks, inner_sizes[: l + 2], inner_sizes[: l + 1])
-        )
-    meta = {
-        "kind": "thicken",
-        "name": f"thicken({gg.meta.get('name', '?')})",
-        "inner_sizes": list(inner_sizes),
-    }
+    sizes = gg.level_sizes()
+    # output level l is the leading block of the flat assembly that ends with
+    # inner level l; map l is a leading block of the level adjacencies' diagonal
+    flat = assemble_flat(gg).adj
+    copies = block_assemble({(i, i): g.adj for i, g in enumerate(gg.levels)}, sizes, sizes)
+    ends = np.cumsum([0, *sizes])
+    levels = [Graph(submatrix(flat, 0, end, 0, end)) for end in ends[1:]]
+    inter = [submatrix(copies, 0, ends[l + 2], 0, ends[l + 1]) for l in range(gg.top)]
+    meta = {"kind": "thicken", "name": f"thicken({gg.meta.get('name', '?')})",
+            "inner_sizes": list(sizes)}
     return GradedGraph(levels, inter, None, meta)
 
 
@@ -368,7 +364,7 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
     # ascending, row-major inside a block: the skeletal layout
     forward = np.empty(level.size, dtype=np.int64)
     forward[np.argsort(level, kind="stable")] = np.arange(level.size)
-    gathered = permute(kept, Permutation(forward))
+    gathered = permute(kept, forward, forward)
     # minlength keeps the slot of an output level no vertex lies on
     level_sizes = np.bincount(level, minlength=max_level + 1)
     offsets = np.concatenate([[0], np.cumsum(level_sizes)]).astype(np.int64)
@@ -389,48 +385,49 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
 
 # -- codec alignment utilities ---------------------------------------------
 
-def leaf_table(gg, level):
-    """Leaf coordinates of every flat vertex at the given level.
-
-    Returns one ((leaf levels...), (leaf indices...)) tuple per vertex, in
-    vertex order.  A graded graph without product structure is its own
-    single leaf.
-    """
-    codecs = gg.meta.get("codec")
+def _leaf_count(gg):
     factors = gg.meta.get("factors")
+    return 1 if factors is None or gg.meta.get("codec") is None else sum(map(_leaf_count, factors))
+
+
+def leaf_table(gg, level):
+    """One int row per vertex of the level, in vertex order: its leaf levels,
+    then its leaf indices.  A graph without product structure is its own leaf."""
+    codecs, factors = gg.meta.get("codec"), gg.meta.get("factors")
     if codecs is None or factors is None:
-        return [((level,), (j,)) for j in range(gg.levels[level].n)]
-    out = []
-    codec = codecs[level]
-    for b, lvec in enumerate(codec.blocks):
-        subtables = [leaf_table(factors[i], lvec[i]) for i in range(len(factors))]
-        for combo in itertools.product(*subtables):
-            lev = tuple(itertools.chain.from_iterable(entry[0] for entry in combo))
-            idx = tuple(itertools.chain.from_iterable(entry[1] for entry in combo))
-            out.append((lev, idx))
-    return out
+        n = gg.levels[level].n
+        return np.stack([np.full(n, level), np.arange(n)], axis=1)
+    width = 2 * _leaf_count(gg)
+    tables = [np.empty((0, width), dtype=np.int64)]
+    for lvec, dims in zip(codecs[level].blocks, codecs[level].dims):
+        # each factor's index of every vertex of the block, last factor fastest
+        idx = np.indices(dims).reshape(len(dims), -1)
+        # (vertex, levels or indices, leaf) per factor, joined along the leaves
+        parts = [leaf_table(f, l)[i].reshape(i.size, 2, _leaf_count(f))
+                 for f, l, i in zip(factors, lvec, idx)]
+        tables.append(np.concatenate(parts, axis=2).reshape(-1, width))
+    return np.concatenate(tables)
+
+
+def _match(src_table, dst_table):
+    """The vertex map sending each row of src_table to the equal row of dst_table."""
+    src_order, dst_order = np.lexsort(src_table.T), np.lexsort(dst_table.T)
+    if not np.array_equal(src_table[src_order], dst_table[dst_order]):
+        raise ValueError("vertex sets differ, cannot align")
+    forward = np.empty(src_order.size, dtype=np.int64)
+    forward[src_order] = dst_order
+    return forward
 
 
 def alignment_permutation(src, dst, level):
     """Vertex map between two products of the same leaves at equal level."""
-    src_table = leaf_table(src, level)
-    dst_pos = {entry: i for i, entry in enumerate(leaf_table(dst, level))}
-    if len(src_table) != len(dst_pos):
-        raise ValueError("vertex sets differ, cannot align")
-    return Permutation(np.array([dst_pos[e] for e in src_table], dtype=np.int64))
+    return _match(leaf_table(src, level), leaf_table(dst, level))
 
 
 def factor_swap_permutation(prod_ab, prod_ba, level):
     """Witness for commutativity: maps each level-L vertex ((l1,i1),(l2,i2))
     of the first product onto ((l2,i2),(l1,i1)) of the second."""
-    codec = prod_ab.meta["codec"][level]
-    codec_ba = prod_ba.meta["codec"][level]
-    offsets = codec_ba.offsets
-    # block (l1, l2) lists i1 * n2 + i2 row-major; (i2, i1) sits at i2 * m1 + i1
-    # of the second product's block (l2, l1), whose dims are (m2, m1)
-    parts = [np.zeros(0, dtype=np.int64)]
-    for (l1, l2), (n1, n2) in zip(codec.blocks, codec.dims):
-        b = codec_ba.block_index((l2, l1))
-        m1 = codec_ba.dims[b][1]
-        parts.append(offsets[b] + np.add.outer(np.arange(n1), np.arange(n2) * m1).ravel())
-    return Permutation(np.concatenate(parts))
+    # the first factor's leaf columns move behind the second's, in both halves
+    n, k = _leaf_count(prod_ab), _leaf_count(prod_ab.meta["factors"][0])
+    cols = np.roll(np.arange(2 * n).reshape(2, n), -k, axis=1).ravel()
+    return _match(leaf_table(prod_ab, level)[:, cols], leaf_table(prod_ba, level))

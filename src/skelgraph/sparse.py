@@ -11,8 +11,8 @@ in one pass whether the keys already increase strictly; only if they do not
 does it sort them, stably, and sum each key's duplicates in input order.
 ``kron``, ``kron_sum``, ``add`` (and ``-``), ``transpose``,
 ``block_assemble``, ``submatrix``, ``scale`` and ``pattern`` emit their
-entries in canonical order, so they never reach that sort; ``matmul``,
-``permute``, ``remap`` and symmetric Matrix Market files do.
+entries in canonical order, so they never reach that sort; ``matmul``, the one
+relabeling ``permute(a, rows, cols)`` and symmetric Matrix Market files do.
 
 The Matrix Market writer makes no Python object per entry.  It formats each
 distinct value once, with ``repr``, and gathers every line from byte tables
@@ -24,20 +24,17 @@ of index and value text, so its files equal those of a per-entry
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SparseMatrix",
-    "Permutation",
     "identity",
     "zeros",
     "kron",
     "kron_sum",
     "block_assemble",
     "permute",
-    "remap",
     "submatrix",
     "pattern",
     "support_union",
@@ -354,58 +351,24 @@ def block_assemble(blocks, row_sizes, col_sizes):
     return SparseMatrix(int(row_off[-1]), int(col_off[-1]), rows, cols, vals)
 
 
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """A bijection of [0, n); position i of the input moves to forward[i]."""
-
-    forward: np.ndarray
-
-    def __post_init__(self):
-        fwd = np.asarray(self.forward, dtype=np.int64)
-        object.__setattr__(self, "forward", fwd)
-        n = fwd.size
-        if not np.array_equal(np.sort(fwd), np.arange(n)):
-            raise ValueError("permutation is not a bijection of [0, n)")
-        fwd.flags.writeable = False
-
-    @property
-    def n(self):
-        return int(self.forward.size)
-
-    @staticmethod
-    def identity(n):
-        return Permutation(np.arange(n))
-
-    def inverse(self):
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.forward] = np.arange(self.n)
-        return Permutation(inv)
-
-    def __call__(self, i):
-        return int(self.forward[i])
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return np.array_equal(self.forward, other.forward)
+def _bijection(p, n):
+    p = np.asarray(p, dtype=np.int64)
+    if not np.array_equal(np.sort(p), np.arange(n)):
+        raise ValueError(f"relabeling is not a bijection of [0, {n})")
+    return p
 
 
-def permute(a, p):
-    """Relabel a square matrix: result[p(i), p(j)] = a[i, j]."""
-    if a.nrows != a.ncols:
-        raise ValueError("permute requires a square matrix")
-    if p.n != a.nrows:
-        raise ValueError(f"permutation order {p.n} does not match matrix order {a.nrows}")
-    return SparseMatrix(a.nrows, a.ncols, p.forward[a.rows], p.forward[a.cols], a.vals)
+def permute(a, rows, cols):
+    """Relabel a matrix: result[rows[i], cols[j]] = a[i, j].
 
-
-def remap(a, row_map, col_map):
-    """Push entries through independent row/col relabelings (rectangular ok)."""
-    row_map = np.asarray(row_map, dtype=np.int64)
-    col_map = np.asarray(col_map, dtype=np.int64)
-    if row_map.size != a.nrows or col_map.size != a.ncols:
-        raise ValueError("relabeling length does not match matrix dimensions")
-    return SparseMatrix(a.nrows, a.ncols, row_map[a.rows], col_map[a.cols], a.vals)
+    ``rows`` and ``cols`` must be bijections of [0, nrows) and [0, ncols).
+    Pass one array as both to relabel a square matrix's vertices; it is
+    checked once.
+    """
+    same = cols is rows and a.nrows == a.ncols
+    rows = _bijection(rows, a.nrows)
+    cols = rows if same else _bijection(cols, a.ncols)
+    return SparseMatrix(a.nrows, a.ncols, rows[a.rows], cols[a.cols], a.vals)
 
 
 def submatrix(a, row_start, row_stop, col_start, col_stop):

@@ -267,7 +267,8 @@ def test_commands_survive_damaged_lineage_directories(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 1, 2) and err.count("error:") <= 1, (what, argv[0], err)
             codes.append(code)
-    assert {0, 1, 2} <= set(codes)
+    # a damaged file is refused as bad (2) or runs (0), never taken for a usage error (1)
+    assert set(codes) == {0, 2}
 
 
 def test_missing_lineage_paths_exit_one(tmp_path, capsys):
@@ -292,6 +293,30 @@ def test_validate_reports_inter_map_of_wrong_shape(tmp_path, capsys):
     assert main(["validate", str(src)]) == 2
     out = capsys.readouterr().out
     assert "inter map 0->1 has shape" in out
+
+
+@pytest.mark.parametrize("stem, what, weights", [
+    ("inter", "inter map", "pattern"),
+    ("prolong", "prolongation", "prolong"),
+])
+def test_builds_refuse_a_map_of_the_wrong_shape_as_a_bad_file(tmp_path, capsys, stem, what, weights):
+    # the map 0->1 copied over 1->2: validate, product and thicken all exit 2
+    src, other = tmp_path / "p", tmp_path / "c"
+    main(["gen", "path", "--levels", "2", "--out", str(src)])
+    main(["gen", "complete", "--levels", "2", "--out", str(other)])
+    shutil.copy(src / f"{stem}_00_01.mtx", src / f"{stem}_01_02.mtx")
+    capsys.readouterr()
+    message = f"{what} 1->2 has shape (2, 1), expected (4, 2)"
+    assert main(["validate", str(src)]) == 2
+    assert message in capsys.readouterr().out
+    out = str(tmp_path / "out")
+    for argv in (["product", "box", str(src), str(other), "--weights", weights, "--out", out],
+                 ["product", "cross", str(other), str(src), "--weights", weights, "--out", out],
+                 ["thicken", str(src), "--out", out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: {message}\n"
+    assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,7 +1,9 @@
 """numpy is the only runtime dependency: every absolute import in the
-package names a standard-library module or numpy."""
+package names a standard-library module or numpy.  Every exported name
+resolves."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -25,3 +27,14 @@ def test_package_imports_only_stdlib_and_numpy(source):
 
 def test_package_sources_are_found():
     assert len(SOURCES) > 1
+
+
+MODULES = ["skelgraph"] + [f"skelgraph.{p.stem}" for p in SOURCES if p.stem != "__init__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # a stale export would be skipped silently by code that walks __all__
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names {missing}, which {name} does not define"

@@ -30,11 +30,9 @@ from skelgraph.skeletal import (
     thicken,
 )
 from skelgraph.sparse import (
-    Permutation,
     SparseMatrix,
     kron_sum,
     permute,
-    remap,
     support_subset,
 )
 
@@ -225,31 +223,94 @@ def test_commutativity_swap_permutation():
         ba = build(gg2, gg1)
         perms = [factor_swap_permutation(ab, ba, level) for level in range(3)]
         for level in range(3):
-            assert permute(ab.levels[level].adj, perms[level]) == ba.levels[level].adj
+            assert permute(ab.levels[level].adj, perms[level], perms[level]) == ba.levels[level].adj
         for level in range(2):
-            moved = remap(ab.inter[level], perms[level + 1].forward, perms[level].forward)
+            moved = permute(ab.inter[level], perms[level + 1], perms[level])
             assert moved == ba.inter[level]
 
 
-def test_factor_swap_permutation_matches_per_vertex_loop():
-    def per_vertex(prod_ab, prod_ba, level):
-        codec = prod_ab.meta["codec"][level]
-        codec_ba = prod_ba.meta["codec"][level]
-        forward = np.empty(codec.total, dtype=np.int64)
-        for v in range(codec.total):
-            (l1, l2), (i1, i2) = codec.unrank(v)
-            forward[v] = codec_ba.rank((l2, l1), (i2, i1))
-        return Permutation(forward)
+def _swap_per_vertex(prod_ab, prod_ba, level):
+    """The factor swap one vertex at a time, through the codecs' unrank and rank."""
+    codec = prod_ab.meta["codec"][level]
+    codec_ba = prod_ba.meta["codec"][level]
+    forward = np.empty(codec.total, dtype=np.int64)
+    for v in range(codec.total):
+        (l1, l2), (i1, i2) = codec.unrank(v)
+        forward[v] = codec_ba.rank((l2, l1), (i2, i1))
+    return forward
 
-    # the products of acceptance criterion 7, and deeper unequal factors
+
+def _leaves_per_vertex(gg, level, v):
+    """Vertex v's leaf levels and leaf indices, unranked one product at a time."""
+    codecs, factors = gg.meta.get("codec"), gg.meta.get("factors")
+    if codecs is None or factors is None:
+        return (level,), (v,)
+    parts = [_leaves_per_vertex(f, l, i) for f, l, i in zip(factors, *codecs[level].unrank(v))]
+    return sum((lev for lev, _ in parts), ()), sum((idx for _, idx in parts), ())
+
+
+def test_factor_swap_permutation_matches_per_vertex_loop():
+    # the products of acceptance criterion 7, deeper unequal factors, and a
+    # nested factor, whose leaf columns move as one block
     pairs = [(path_lineage(2), complete_lineage(2)), (path_lineage(4), complete_lineage(3)),
-             (grid2d_lineage(2), unit_lineage(3))]
+             (grid2d_lineage(2), unit_lineage(3)),
+             (skeletal_box(path_lineage(2), unit_lineage(2), max_level=4), complete_lineage(2))]
     for g1, g2 in pairs:
         for build in (skeletal_box, skeletal_cross):
             ab, ba = build(g1, g2), build(g2, g1)
             for level in range(ab.num_levels):
-                want = per_vertex(ab, ba, level)
-                assert factor_swap_permutation(ab, ba, level) == want
+                want = _swap_per_vertex(ab, ba, level)
+                assert np.array_equal(factor_swap_permutation(ab, ba, level), want)
+
+
+def test_leaf_table_matches_per_vertex_unrank():
+    p, u, c = path_lineage(2), unit_lineage(2), complete_lineage(2)
+    products = [  # (product, its number of leaves)
+        (skeletal_box(skeletal_box(p, u, max_level=4), c), 3),
+        (skeletal_cross(p, skeletal_cross(u, c, max_level=4)), 3),
+        (skeletal_cross_nway([p, u, c], "tilde"), 3),
+        (skeletal_dilated(path_lineage(3), path_lineage(3), 2, 2), 2),
+        # blocks pairing an empty level of the dilated factor hold no vertex
+        (skeletal_box(skeletal_dilated(p, p, 2, 2), p), 3),
+        (grid2d_lineage(2), 1),
+    ]
+    for prod, leaves in products:
+        for level in range(prod.num_levels):
+            n = prod.levels[level].n
+            table = leaf_table(prod, level)
+            assert table.dtype == np.int64 and table.shape == (n, 2 * leaves)
+            want = [list(sum(_leaves_per_vertex(prod, level, v), ())) for v in range(n)]
+            assert table.tolist() == want
+
+
+def test_alignment_on_empty_levels_and_empty_products():
+    # odd summed levels of this dilated product hold no vertex
+    dil = skeletal_dilated(path_lineage(3), path_lineage(3), 2, 2)
+    assert dil.level_sizes() == [1, 0, 4, 0, 12, 0, 32, 0]
+    for level, n in enumerate(dil.level_sizes()):
+        assert leaf_table(dil, level).shape == (n, 4)
+        assert np.array_equal(alignment_permutation(dil, dil, level), np.arange(n))
+        assert np.array_equal(factor_swap_permutation(dil, dil, level),
+                              _swap_per_vertex(dil, dil, level))
+    # two lineages without levels: one empty level, empty witnesses
+    empty = GradedGraph([], [], None, {"name": "empty"})
+    prod = skeletal_box(empty, empty)
+    assert leaf_table(prod, 0).shape == (0, 4)
+    for perm in (alignment_permutation(prod, prod, 0), factor_swap_permutation(prod, prod, 0)):
+        assert perm.dtype == np.int64 and perm.shape == (0,)
+        assert permute(prod.levels[0].adj, perm, perm) == prod.levels[0].adj
+
+
+def test_alignment_refuses_products_of_other_leaves():
+    # equal vertex counts but other leaf coordinates, or another number of leaves
+    p, u = path_lineage(2), unit_lineage(2)
+    pu, up = skeletal_box(p, u), skeletal_box(u, p)
+    assert pu.level_sizes() == up.level_sizes()
+    triple = skeletal_box(skeletal_box(p, u, max_level=4), u)
+    assert triple.level_sizes()[0] == pu.level_sizes()[0]
+    for src, dst, level in ((pu, up, 2), (up, pu, 1), (pu, triple, 0), (triple, pu, 1)):
+        with pytest.raises(ValueError, match="vertex sets differ, cannot align"):
+            alignment_permutation(src, dst, level)
 
 
 # -- weighted mode -----------------------------------------------------------
@@ -282,8 +343,8 @@ def aligned_flat(src, dst):
     src_t, dst_t = truncate(src, depth - 1), truncate(dst, depth - 1)
     perms = [alignment_permutation(src, dst, level) for level in range(depth)]
     offsets = np.concatenate([[0], np.cumsum([g.n for g in dst_t.levels])])
-    fwd = np.concatenate([p.forward + offsets[l] for l, p in enumerate(perms)])
-    moved = permute(assemble_flat(src_t).adj, Permutation(fwd))
+    fwd = np.concatenate([p + offsets[l] for l, p in enumerate(perms)])
+    moved = permute(assemble_flat(src_t).adj, fwd, fwd)
     return moved, assemble_flat(dst_t).adj
 
 
@@ -308,14 +369,14 @@ def test_nway_strict_inclusion_witness_class():
     s = nway.inter[1]  # maps summed level 1 to summed level 2
     witness = []
     for r, cc in zip(s.rows, s.cols):
-        dl = tuple(x - y for x, y in zip(rows_t[r][0], cols_t[cc][0]))
+        dl = tuple(rows_t[r, :3] - cols_t[cc, :3])
         if dl == (1, 1, -1):
             witness.append((int(r), int(cc)))
     assert witness
     left = skeletal_cross(skeletal_cross(a, b, max_level=4), c)
     p2 = alignment_permutation(left, nway, 2)
     p1 = alignment_permutation(left, nway, 1)
-    moved = remap(left.inter[1], p2.forward, p1.forward)
+    moved = permute(left.inter[1], p2, p1)
     left_keys = set(zip(moved.rows.tolist(), moved.cols.tolist()))
     assert all(k not in left_keys for k in witness)
 
@@ -342,9 +403,9 @@ def test_box_is_exactly_associative():
         alignment_permutation(left, right, level) for level in range(left.num_levels)
     ]
     for level in range(left.num_levels):
-        assert permute(left.levels[level].adj, perms[level]) == right.levels[level].adj
+        assert permute(left.levels[level].adj, perms[level], perms[level]) == right.levels[level].adj
     for level in range(left.num_levels - 1):
-        moved = remap(left.inter[level], perms[level + 1].forward, perms[level].forward)
+        moved = permute(left.inter[level], perms[level + 1], perms[level])
         assert moved == right.inter[level]
 
 
@@ -368,9 +429,8 @@ def test_distributivity_over_levelwise_sum():
                     fwd[v] = cb.rank((l1, l2), (i1, i2))
                 else:
                     fwd[v] = cb.total + cc.rank((l1, l2), (i1, i2 - nb[l2]))
-            p = Permutation(fwd)
             joined = levelwise_oplus(rhs_parts[0], rhs_parts[1])
-            assert permute(lhs.levels[level].adj, p) == joined.levels[level].adj
+            assert permute(lhs.levels[level].adj, fwd, fwd) == joined.levels[level].adj
 
 
 # -- dilated / shaped products ------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from skelgraph import sparse
 from skelgraph.sparse import (
     BadFileError,
-    Permutation,
     SparseMatrix,
     block_assemble,
     identity,
@@ -20,7 +19,6 @@ from skelgraph.sparse import (
     pattern,
     permute,
     read_matrix_market,
-    remap,
     submatrix,
     support_subset,
     support_union,
@@ -259,27 +257,39 @@ def test_kron_associative_and_bilinear():
 
 def test_permute_identity_and_symmetry():
     a = path_adj(2)
-    assert permute(a, Permutation.identity(2)) == a
-    assert permute(a, Permutation([1, 0])) == a
+    for p in (np.arange(2), np.array([1, 0])):
+        assert permute(a, p, p) == a
 
 
 def test_permute_cycle_on_diagonal():
     d = SparseMatrix.from_entries(3, 3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
-    p = Permutation([1, 2, 0])  # 0 -> 1 -> 2 -> 0
-    got = permute(d, p)
+    p = np.array([1, 2, 0])  # 0 -> 1 -> 2 -> 0
+    got = permute(d, p, p)
     assert got == SparseMatrix.from_entries(3, 3, [(0, 0, 3.0), (1, 1, 1.0), (2, 2, 2.0)])
 
 
 def test_permute_round_trip():
     rng = np.random.default_rng(3)
     a = random_sparse(rng, 6, 6)
-    p = Permutation(rng.permutation(6))
-    assert permute(permute(a, p), p.inverse()) == a
+    p = rng.permutation(6)
+    inverse = np.argsort(p)
+    assert permute(permute(a, p, p), inverse, inverse) == a
+    # rows and columns relabel independently, rectangular matrices too
+    b = random_sparse(rng, 4, 6)
+    q = rng.permutation(4)
+    assert permute(b, q, p).to_dense()[np.ix_(q, p)].tolist() == b.to_dense().tolist()
 
 
 def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
+    a = random_sparse(np.random.default_rng(5), 3, 3)
+    ok = np.array([2, 0, 1])
+    for rows, cols in (([0, 0, 1], ok), (ok, [0, 0, 1]), ([0, 1], ok), (ok, [0, 1, 2, 3]),
+                       ([0, 0, 1], [0, 0, 1]), ([1, 2, 3], [1, 2, 3])):
+        with pytest.raises(ValueError, match="not a bijection"):
+            permute(a, rows, cols)
+    # one array passed as both for a non-square matrix is checked against each dimension
+    with pytest.raises(ValueError, match=r"not a bijection of \[0, 2\)"):
+        permute(random_sparse(np.random.default_rng(5), 3, 2), ok, ok)
 
 
 def test_block_assemble_single_block():
@@ -349,10 +359,10 @@ def test_matmul_against_dense():
         assert np.allclose(got, a.to_dense() @ b.to_dense(), atol=1e-14)
 
 
-def test_submatrix_and_remap():
+def test_submatrix_and_permute_rows_only():
     a = SparseMatrix.from_entries(4, 4, [(0, 0, 1.0), (1, 2, 2.0), (3, 3, 3.0)])
     assert submatrix(a, 1, 3, 1, 3) == SparseMatrix.from_entries(2, 2, [(0, 1, 2.0)])
-    moved = remap(a, [3, 2, 1, 0], [0, 1, 2, 3])
+    moved = permute(a, [3, 2, 1, 0], [0, 1, 2, 3])
     assert moved == SparseMatrix.from_entries(4, 4, [(3, 0, 1.0), (2, 2, 2.0), (0, 3, 3.0)])
 
 
