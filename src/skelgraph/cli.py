@@ -190,6 +190,8 @@ def _cmd_export(args):
 def _cmd_cnn_structure(args):
     if args.grid_levels < 0 or args.feature_levels < 0:
         raise ValueError("level counts must be nonnegative")
+    # grid2d_lineage checks its own depth before building; check the features' first
+    lin._check_top(args.feature_levels, "complete")
     grid = lin.grid2d_lineage(args.grid_levels)
     features = lin.complete_lineage(args.feature_levels)
     depth = min(args.grid_levels, args.feature_levels)

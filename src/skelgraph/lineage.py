@@ -34,7 +34,6 @@ from .sparse import (
 
 __all__ = [
     "GradedGraph",
-    "LevelCodec",
     "Diagnostics",
     "assemble_flat",
     "shape_issues",
@@ -55,6 +54,13 @@ ORTHONORMAL_TOL = 1e-12
 # the generators' cap on top-level entries: `gen complete --levels 12` (16,773,120)
 # peaks at ~1.5 GB, and one level more needs four times that
 MAX_TOP_ENTRIES = 2 ** 24
+# each generator's stored entries at a top level of n = 2**depth vertices (a side)
+_TOP_ENTRIES = {
+    "unit": lambda n: 1,
+    "path": lambda n: 2 * (n - 1),
+    "complete": lambda n: n * (n - 1),
+    "grid2d": lambda n: 4 * n * (n - 1),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,48 +99,6 @@ class GradedGraph:
         return (self.levels, self.inter, self.prolong) == (other.levels, other.inter, other.prolong)
 
 
-@dataclass(frozen=True, eq=False)
-class LevelCodec:
-    """Vertex layout of one product level: ordered blocks of factor levels.
-
-    ``blocks[b]`` is the tuple of factor levels of block b and ``dims[b]``
-    the per-factor vertex counts; within a block, factor indices combine
-    row-major (last factor fastest).
-    """
-
-    blocks: tuple
-    dims: tuple
-
-    @property
-    def sizes(self):
-        return tuple(int(np.prod(d)) for d in self.dims)
-
-    @property
-    def offsets(self):
-        return np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
-
-    @property
-    def total(self):
-        return int(sum(self.sizes))
-
-    def block_index(self, lvec):
-        try:
-            return self.blocks.index(tuple(lvec))
-        except ValueError:
-            raise KeyError(f"no block {lvec} at this level") from None
-
-    def rank(self, lvec, ivec):
-        b = self.block_index(lvec)
-        return int(self.offsets[b]) + int(np.ravel_multi_index(tuple(ivec), self.dims[b]))
-
-    def unrank(self, v):
-        if not 0 <= v < self.total:
-            raise ValueError(f"vertex {v} outside 0..{self.total - 1}")
-        b = int(np.searchsorted(self.offsets, v, side="right")) - 1
-        ivec = np.unravel_index(v - int(self.offsets[b]), self.dims[b])
-        return self.blocks[b], tuple(int(i) for i in ivec)
-
-
 def truncate(gg, top_level):
     """Keep levels 0..top_level."""
     if not 0 <= top_level <= gg.top:
@@ -150,12 +114,9 @@ def truncate(gg, top_level):
 def assemble_flat(gg):
     """One graph holding every level: diagonal level blocks, off-diagonal maps."""
     sizes = gg.level_sizes()
-    blocks = {}
-    for l, g in enumerate(gg.levels):
-        blocks[(l, l)] = g.adj
+    blocks = {(l, l): g.adj for l, g in enumerate(gg.levels)}
     for l, s in enumerate(gg.inter):
-        blocks[(l + 1, l)] = s
-        blocks[(l, l + 1)] = s.transpose()
+        blocks[l + 1, l], blocks[l, l + 1] = s, s.transpose()
     return Graph(block_assemble(blocks, sizes, sizes))
 
 
@@ -229,27 +190,27 @@ def _pair_aggregation(n_coarse):
 
 def unit_lineage(num_top_level):
     """Every level is a single vertex with a self-loop, levels linked one-to-one."""
-    _check_top(num_top_level, "unit", lambda n: 1)
+    _check_top(num_top_level, "unit")
     one = loop_vertex()
     levels = [one] * (num_top_level + 1)
     inter = [one.adj] * num_top_level
     return GradedGraph(levels, inter, tuple(inter), {"name": "unit"})
 
 
-def _check_top(num_top_level, name, top_entries):
-    """Refuse a negative depth, or a top level whose ``top_entries(2**depth)``
-    stored entries exceed MAX_TOP_ENTRIES, before anything is built."""
+def _check_top(num_top_level, name):
+    """Refuse a negative depth, or a ``name`` lineage whose top level would
+    store more than MAX_TOP_ENTRIES entries, before anything is built."""
     if num_top_level < 0:
         raise ValueError("the top level must be nonnegative")
     # every generator is past the cap by depth 24, so a deeper one needs no exact count
-    if top_entries(2 ** min(num_top_level, 64)) > MAX_TOP_ENTRIES:
+    if _TOP_ENTRIES[name](2 ** min(num_top_level, 64)) > MAX_TOP_ENTRIES:
         raise ValueError(f"a {name} lineage of depth {num_top_level} would store more than "
                          f"{MAX_TOP_ENTRIES:,} (2**24) entries at its top level")
 
 
-def _pair_lineage(num_top_level, level_graph, name, top_entries):
+def _pair_lineage(num_top_level, level_graph, name):
     """Level l is level_graph(2**l); fine pairs aggregate to parents."""
-    _check_top(num_top_level, name, top_entries)
+    _check_top(num_top_level, name)
     levels = [loop_vertex()]
     inter, prolong = [], []
     for l in range(1, num_top_level + 1):
@@ -262,12 +223,12 @@ def _pair_lineage(num_top_level, level_graph, name, top_entries):
 
 def path_lineage(num_top_level):
     """Level l is the path on 2**l vertices; fine pairs aggregate to parents."""
-    return _pair_lineage(num_top_level, path_graph, "path", lambda n: 2 * (n - 1))
+    return _pair_lineage(num_top_level, path_graph, "path")
 
 
 def complete_lineage(num_top_level):
     """Level l is the complete graph on 2**l vertices; fine pairs aggregate to parents."""
-    return _pair_lineage(num_top_level, complete_graph, "complete", lambda n: n * (n - 1))
+    return _pair_lineage(num_top_level, complete_graph, "complete")
 
 
 def _levelwise(gg1, gg2, product, pair, name):
@@ -303,7 +264,7 @@ def _block_diagonal(a, b):
 
 def grid2d_lineage(num_top_level):
     """Level l is the 2**l x 2**l grid: the per-level box square of a path lineage."""
-    _check_top(num_top_level, "grid2d", lambda n: 4 * n * (n - 1))
+    _check_top(num_top_level, "grid2d")
     p = path_lineage(num_top_level)
     gg = levelwise_product(p, p)
     # the root's two self-loops stack to weight 2; keep adjacencies 0/1
@@ -347,34 +308,31 @@ def growth_profile(gg, bound=None):
 
 # -- lineage-on-disk ------------------------------------------------------
 
+# (manifest key, file name of matrix l, symmetric): levels, inter maps, prolongations;
+# a symmetric file holds a level's adjacency, read back as its Graph
+_FILES = (
+    ("levelFiles", "level_{:02d}.mtx", True),
+    ("interFiles", "inter_{:02d}_{:02d}.mtx", False),
+    ("prolongFiles", "prolong_{:02d}_{:02d}.mtx", False),
+)
+
+
 def write_lineage(directory, gg, name=None):
     """Write a JSON manifest plus one Matrix Market file per stored matrix."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    level_files, inter_files, prolong_files = [], [], []
-    for l, g in enumerate(gg.levels):
-        fname = f"level_{l:02d}.mtx"
-        write_matrix_market(directory / fname, g.adj, symmetric=True)
-        level_files.append(fname)
-    for l, s in enumerate(gg.inter):
-        fname = f"inter_{l:02d}_{l + 1:02d}.mtx"
-        write_matrix_market(directory / fname, s)
-        inter_files.append(fname)
-    if gg.prolong is not None:
-        for l, p in enumerate(gg.prolong):
-            fname = f"prolong_{l:02d}_{l + 1:02d}.mtx"
-            write_matrix_market(directory / fname, p)
-            prolong_files.append(fname)
     manifest = {
         "name": name or gg.meta.get("name", "lineage"),
         "numLevels": gg.num_levels,
-        "levelFiles": level_files,
-        "interFiles": inter_files,
-        "prolongFiles": prolong_files,
         "metadata": {
             k: v for k, v in gg.meta.items() if isinstance(v, (str, int, float, list, dict))
         },
     }
+    matrices = ([g.adj for g in gg.levels], gg.inter, gg.prolong or ())
+    for (key, pattern, symmetric), mats in zip(_FILES, matrices):
+        manifest[key] = [pattern.format(l, l + 1) for l in range(len(mats))]
+        for fname, m in zip(manifest[key], mats):
+            write_matrix_market(directory / fname, m, symmetric=symmetric)
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -390,7 +348,7 @@ def read_lineage(directory):
             raise BadFileError(f"{where}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("metadata", {}), dict):
         raise BadFileError(f"{where}: the manifest and its metadata must be JSON objects")
-    for key in ("levelFiles", "interFiles", "prolongFiles"):
+    for key, _, _ in _FILES:
         names = manifest.get(key)
         if not isinstance(names, list) or not all(
                 isinstance(f, str) and f not in ("", "..") and Path(f).name == f for f in names):
@@ -405,15 +363,14 @@ def read_lineage(directory):
     meta.setdefault("name", manifest.get("name", "lineage"))
     if not isinstance(meta["name"], str):
         raise BadFileError(f"{where}: the lineage name must be a string")
-    levels = []
-    for f in manifest["levelFiles"]:
-        adj = read_matrix_market(directory / f)
-        try:
-            levels.append(Graph(adj))
-        except ValueError as exc:  # name the file, as the reader's own errors do
-            raise BadFileError(f"{directory / f}: {exc}") from None
-    inter = [read_matrix_market(directory / f) for f in manifest["interFiles"]]
-    prolong = None
-    if manifest["prolongFiles"]:
-        prolong = tuple(read_matrix_market(directory / f) for f in manifest["prolongFiles"])
-    return GradedGraph(levels, inter, prolong, meta)
+    read = []  # the levels, inter maps and prolongations, file by file in manifest order
+    for key, _, symmetric in _FILES:
+        read.append([])
+        for f in manifest[key]:
+            m = read_matrix_market(directory / f)
+            try:
+                read[-1].append(Graph(m) if symmetric else m)
+            except ValueError as exc:  # name the file, as the reader's own errors do
+                raise BadFileError(f"{directory / f}: {exc}") from None
+    levels, inter, prolong = read
+    return GradedGraph(levels, inter, prolong or None, meta)

@@ -188,8 +188,7 @@ def _wavefront_schedule(a):
     diag = a.diagonal()
     if np.any(diag == 0.0):
         raise ValueError("gauss_seidel needs a nonzero diagonal")
-    indptr, _, _ = a.csr()
-    length = np.diff(indptr)
+    length = np.diff(a.indptr())
     off = a.rows != a.cols
     early = np.minimum(a.rows[off], a.cols[off])
     late = np.maximum(a.rows[off], a.cols[off])
@@ -409,7 +408,7 @@ class ClassicalMultigrid(_GalerkinCycle):
     """Geometric multigrid coarsening both dimensions at once (Galerkin)."""
 
     def __init__(self, problem, gamma=1):
-        ops, children = [None] * problem.k + [problem.A], [[] for _ in range(problem.k + 1)]
+        ops, children = {problem.k: problem.A}, {1: []}
         for i in range(problem.k - 1, 0, -1):
             p2 = kron(problem.prolong1d[i - 1], problem.prolong1d[i - 1])
             ops[i] = p2.T @ ops[i + 1] @ p2

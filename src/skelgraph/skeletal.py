@@ -25,12 +25,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph
-from .lineage import GradedGraph, LevelCodec, assemble_flat
+from .lineage import GradedGraph, assemble_flat
 from .sparse import (
     SparseMatrix,
     block_assemble,
@@ -56,10 +57,6 @@ __all__ = [
     "alignment_permutation",
     "factor_swap_permutation",
 ]
-
-
-def _as_fraction(rho):
-    return rho if isinstance(rho, Fraction) else Fraction(rho).limit_denominator(10 ** 6)
 
 
 def _block_tables(tops, level_of, max_level):
@@ -114,6 +111,44 @@ def _assemble_product(ggs, kind, level_of, max_level, weights, meta):
         partial_levels=[L for L in range(max_level + 1) if L >= horizon],
     )
     return GradedGraph([Graph(m) for m in mats], inter[1:], None, meta)
+
+
+@dataclass(frozen=True, eq=False)
+class LevelCodec:
+    """Vertex layout of one product level: ordered blocks of factor levels.
+
+    ``blocks[b]`` is the tuple of factor levels of block b and ``dims[b]``
+    the per-factor vertex counts; within a block, factor indices combine
+    row-major (last factor fastest).
+    """
+
+    blocks: tuple
+    dims: tuple
+
+    @property
+    def sizes(self):
+        return tuple(int(np.prod(d)) for d in self.dims)
+
+    @property
+    def offsets(self):
+        return np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
+
+    @property
+    def total(self):
+        return int(sum(self.sizes))
+
+    def rank(self, lvec, ivec):
+        if tuple(lvec) not in self.blocks:
+            raise KeyError(f"no block {lvec} at this level")
+        b = self.blocks.index(tuple(lvec))
+        return int(self.offsets[b]) + int(np.ravel_multi_index(tuple(ivec), self.dims[b]))
+
+    def unrank(self, v):
+        if not 0 <= v < self.total:
+            raise ValueError(f"vertex {v} outside 0..{self.total - 1}")
+        b = int(np.searchsorted(self.offsets, v, side="right")) - 1
+        ivec = np.unravel_index(v - int(self.offsets[b]), self.dims[b])
+        return self.blocks[b], tuple(int(i) for i in ivec)
 
 
 def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
@@ -271,7 +306,8 @@ def skeletal_dilated(gg1, gg2, rho1=1, rho2=1, shape=None, kind="box", max_level
     else:
         if not (math.isfinite(rho1) and math.isfinite(rho2)):
             raise ValueError("dilation rates must be finite")
-        r1, r2 = _as_fraction(rho1), _as_fraction(rho2)
+        r1, r2 = (r if isinstance(r, Fraction) else Fraction(r).limit_denominator(10 ** 6)
+                  for r in (rho1, rho2))
         if r1 <= 0 or r2 <= 0:
             raise ValueError("dilation rates must be positive")
         level_of = lambda lvec: math.ceil(r1 * lvec[0]) + math.ceil(r2 * lvec[1])  # noqa: E731
@@ -317,48 +353,47 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
     and their entries lie in columns at levels a - 1 .. a + 1.  Paired with
     them, a second-factor row above level depth - a leaves the output depth,
     and so does a column above level depth - a + 1.  So each level-a row slab is
-    multiplied by the leading square block of the second factor that ends
-    with level depth - a + 1; the mask drops the extra rows of that block.
-    Path x complete at L=8 and L=9 checks in a few hundred MB, where the
-    full product held 178 M and 1.4 G entries.
+    multiplied by the leading block of the second factor whose rows end with
+    level depth - a and whose columns end with level depth - a + 1 (for box
+    and strong, also by that slice of the identity).  Path x complete at
+    L=8 and L=9 checks in a few hundred MB, where the full product held
+    178 M and 1.4 G entries.
     """
     if kind not in ("cross", "box", "strong"):
         raise ValueError(f"unknown kind {kind!r}")
     if max_level is None:
         max_level = max(min(gg1.top, gg2.top), 0)
     _check_depth(max_level, gg1.top + gg2.top)
-    f1 = assemble_flat(gg1).adj
-    f2 = assemble_flat(gg2).adj
+    f1, f2 = (assemble_flat(gg).adj for gg in (gg1, gg2))
     n1, n2 = f1.nrows, f2.nrows
     tags = [np.repeat(np.arange(gg.num_levels), gg.level_sizes()) for gg in (gg1, gg2)]
     # kron pairs (i1, i2) as i1 * |V2| + i2, the vertex's index in the full product
     level = np.add.outer(*tags).ravel()
     # level a spans ends[a]:ends[a + 1]; a lineage without levels has ends [0]
     ends1, ends2 = (np.cumsum([0, *gg.level_sizes()]) for gg in (gg1, gg2))
-    rows, cols, vals = [], [], []
+    pieces = []
     for a in range(min(gg1.top, max_level) + 1):
         r0, r1 = int(ends1[a]), int(ends1[a + 1])
-        c2 = int(ends2[min(max_level - a + 2, gg2.num_levels)])
+        r2, c2 = (int(ends2[min(max_level - a + s, gg2.num_levels)]) for s in (1, 2))
         slab = submatrix(f1, r0, r1, 0, n1)
-        lead = submatrix(f2, 0, c2, 0, c2)
+        lead = submatrix(f2, 0, r2, 0, c2)
         if kind == "cross":
             part = kron(slab, lead)
         else:
             # kron_sum restricted to the slab: kron takes rectangular operands
-            part = kron(slab, identity(c2)) + kron(submatrix(identity(n1), r0, r1, 0, n1), lead)
+            eye = submatrix(identity(c2), 0, r2, 0, c2)
+            part = kron(slab, eye) + kron(submatrix(identity(n1), r0, r1, 0, n1), lead)
             if kind == "strong":
                 part = support_union(part, kron(slab, lead))
-        # local index (i1 - r0) * c2 + i2 -> global i1 * n2 + i2
-        row = (part.rows // c2 + r0) * n2 + part.rows % c2
+        # local row (i1 - r0) * r2 + i2, column j1 * c2 + j2 -> global i1 * n2 + i2
+        row = (part.rows // r2 + r0) * n2 + part.rows % r2
         col = part.cols // c2 * n2 + part.cols % c2
         row_level, col_level = level[row], level[col]
         keep = (np.abs(row_level - col_level) <= 1) & (np.maximum(row_level, col_level) <= max_level)
-        rows.append(row[keep])
-        cols.append(col[keep])
-        vals.append(part.vals[keep])
+        pieces.append((row[keep], col[keep], part.vals[keep]))
     # the slabs cover disjoint rows, so no two of them share an entry; without
     # a slab (the first factor has no levels) there is no vertex either
-    kept = (SparseMatrix(n1 * n2, n1 * n2, *map(np.concatenate, (rows, cols, vals))) if rows
+    kept = (SparseMatrix(n1 * n2, n1 * n2, *map(np.concatenate, zip(*pieces))) if pieces
             else SparseMatrix(0, 0))
     # a stable sort by summed level lists each level's blocks by l1
     # ascending, row-major inside a block: the skeletal layout
@@ -385,9 +420,12 @@ def product_via_flat_assembly(gg1, gg2, kind="cross", max_level=None):
 
 # -- codec alignment utilities ---------------------------------------------
 
-def _leaf_count(gg):
+def _leaves(gg):
+    """The leaf lineages of gg in leaf-column order; a non-product is its own leaf."""
     factors = gg.meta.get("factors")
-    return 1 if factors is None or gg.meta.get("codec") is None else sum(map(_leaf_count, factors))
+    if factors is None or gg.meta.get("codec") is None:
+        return [gg]
+    return [leaf for f in factors for leaf in _leaves(f)]
 
 
 def leaf_table(gg, level):
@@ -397,20 +435,28 @@ def leaf_table(gg, level):
     if codecs is None or factors is None:
         n = gg.levels[level].n
         return np.stack([np.full(n, level), np.arange(n)], axis=1)
-    width = 2 * _leaf_count(gg)
+    width = 2 * len(_leaves(gg))
     tables = [np.empty((0, width), dtype=np.int64)]
     for lvec, dims in zip(codecs[level].blocks, codecs[level].dims):
         # each factor's index of every vertex of the block, last factor fastest
         idx = np.indices(dims).reshape(len(dims), -1)
         # (vertex, levels or indices, leaf) per factor, joined along the leaves
-        parts = [leaf_table(f, l)[i].reshape(i.size, 2, _leaf_count(f))
+        parts = [leaf_table(f, l)[i].reshape(i.size, 2, len(_leaves(f)))
                  for f, l, i in zip(factors, lvec, idx)]
         tables.append(np.concatenate(parts, axis=2).reshape(-1, width))
     return np.concatenate(tables)
 
 
-def _match(src_table, dst_table):
-    """The vertex map sending each row of src_table to the equal row of dst_table."""
+def _match(src, dst, level, cols=slice(None)):
+    """The vertex map sending each level vertex of src (columns in the order
+    ``cols``) to the vertex of dst of equal leaf levels, indices and lineages,
+    a leaf's lineage key being the first of both products' leaves equal to it."""
+    leaves = _leaves(src) + _leaves(dst)
+    src_table, dst_table = (
+        np.hstack([leaf_table(g, level),
+                   np.tile([leaves.index(f) for f in _leaves(g)], (g.levels[level].n, 1))])
+        for g in (src, dst))
+    src_table = src_table[:, cols]
     src_order, dst_order = np.lexsort(src_table.T), np.lexsort(dst_table.T)
     if not np.array_equal(src_table[src_order], dst_table[dst_order]):
         raise ValueError("vertex sets differ, cannot align")
@@ -421,13 +467,12 @@ def _match(src_table, dst_table):
 
 def alignment_permutation(src, dst, level):
     """Vertex map between two products of the same leaves at equal level."""
-    return _match(leaf_table(src, level), leaf_table(dst, level))
+    return _match(src, dst, level)
 
 
 def factor_swap_permutation(prod_ab, prod_ba, level):
     """Witness for commutativity: maps each level-L vertex ((l1,i1),(l2,i2))
     of the first product onto ((l2,i2),(l1,i1)) of the second."""
-    # the first factor's leaf columns move behind the second's, in both halves
-    n, k = _leaf_count(prod_ab), _leaf_count(prod_ab.meta["factors"][0])
-    cols = np.roll(np.arange(2 * n).reshape(2, n), -k, axis=1).ravel()
-    return _match(leaf_table(prod_ab, level)[:, cols], leaf_table(prod_ba, level))
+    # the first factor's leaves move behind the second's in all three column groups
+    n, k = len(_leaves(prod_ab)), len(_leaves(prod_ab.meta["factors"][0]))
+    return _match(prod_ab, prod_ba, level, np.roll(np.arange(3 * n).reshape(3, n), -k, 1).ravel())

@@ -58,9 +58,9 @@ class SparseMatrix:
     as given, as read-only views: do not write to them afterwards.
     """
 
-    # _sweep_cache holds the Gauss-Seidel schedule that multigrid.gauss_seidel
-    # builds on its first call for this matrix
-    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "_csr_cache", "_sweep_cache")
+    # _indptr_cache holds indptr(), built on first use; _sweep_cache the
+    # Gauss-Seidel schedule that multigrid.gauss_seidel builds on its first call
+    __slots__ = ("nrows", "ncols", "rows", "cols", "vals", "_indptr_cache", "_sweep_cache")
 
     def __init__(self, nrows, ncols, rows=(), cols=(), vals=()):
         nrows, ncols = int(nrows), int(ncols)
@@ -100,7 +100,7 @@ class SparseMatrix:
         self.vals = vals
         for a in (rows, cols, vals):
             a.flags.writeable = False
-        self._csr_cache = None
+        self._indptr_cache = None
         self._sweep_cache = None
 
     # -- constructors -------------------------------------------------
@@ -162,12 +162,11 @@ class SparseMatrix:
     def is_symmetric(self):
         return self.nrows == self.ncols and self == self.transpose()
 
-    def csr(self):
-        """Row-compressed view (indptr, indices, data); cached."""
-        if self._csr_cache is None:
-            indptr = np.searchsorted(self.rows, np.arange(self.nrows + 1))
-            self._csr_cache = (indptr, self.cols, self.vals)
-        return self._csr_cache
+    def indptr(self):
+        """Row pointers: row i holds the entries indptr[i]:indptr[i + 1]; cached."""
+        if self._indptr_cache is None:
+            self._indptr_cache = np.searchsorted(self.rows, np.arange(self.nrows + 1))
+        return self._indptr_cache
 
     # -- arithmetic ---------------------------------------------------
 
@@ -226,7 +225,7 @@ class SparseMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in matmul: {self.shape} @ {other.shape}")
         # expand every left entry against the matching row segment of `other`
-        indptr, _, _ = other.csr()
+        indptr = other.indptr()
         reps = np.repeat(np.arange(self.nnz), np.diff(indptr)[self.cols])
         take = _segments(indptr[self.cols], indptr[self.cols + 1])
         return SparseMatrix(
@@ -265,7 +264,7 @@ def kron(a, b):
     Entries come out by a-row, then b-row, then a-entry, then b-entry, which
     is canonical order.
     """
-    pa, pb = a.csr()[0], b.csr()[0]
+    pa, pb = a.indptr(), b.indptr()
     # a run of b-entries per (a-entry, b-row), ordered by a-row, b-row, a-entry
     e = _segments(np.repeat(pa[:-1], b.nrows), np.repeat(pa[1:], b.nrows))
     p = np.repeat(np.tile(np.arange(b.nrows), a.nrows), np.repeat(np.diff(pa), b.nrows))

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skelgraph import lineage, skeletal
 from skelgraph.cli import main
-from skelgraph.lineage import read_lineage
+from skelgraph.graphs import Graph
+from skelgraph.lineage import GradedGraph, read_lineage
+from skelgraph.sparse import SparseMatrix
 
 
 def files_of(directory):
@@ -75,6 +78,34 @@ def test_oracle_check_where_the_full_kronecker_product_did_not_fit(tmp_path, cap
                      "--oracle-check"])
         assert code == 0
         assert "oracle check passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("part", ["level", "inter map"])
+@pytest.mark.parametrize("kind", ["box", "cross", "strong"])
+def test_oracle_check_refuses_a_product_that_disagrees(tmp_path, capsys, monkeypatch, kind, part):
+    a, b = tmp_path / "p", tmp_path / "c"
+    main(["gen", "path", "--levels", "3", "--out", str(a)])
+    main(["gen", "complete", "--levels", "3", "--out", str(b)])
+    build = getattr(skeletal, f"skeletal_{kind}")
+
+    def perturbed(*args):
+        """The skeletal product with level 2 doubled, or one entry of map 1 dropped."""
+        gg = build(*args)
+        levels, inter = list(gg.levels), list(gg.inter)
+        if part == "level":
+            levels[2] = Graph(levels[2].adj.scale(2.0))
+        else:
+            m = inter[1]
+            inter[1] = SparseMatrix(m.nrows, m.ncols, m.rows[1:], m.cols[1:], m.vals[1:])
+        return GradedGraph(levels, inter, gg.prolong, gg.meta)
+
+    monkeypatch.setattr(skeletal, f"skeletal_{kind}", perturbed)
+    capsys.readouterr()
+    out = tmp_path / "prod"
+    assert main(["product", kind, str(a), str(b), "--oracle-check", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "oracle check failed: constructions disagree\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_product_dilated_metadata(tmp_path):
@@ -467,6 +498,19 @@ def test_generators_refuse_tops_that_cannot_fit(tmp_path, capsys, argv):
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert "16,777,216 (2**24) entries" in err
     assert peak < 2 ** 20 and not (tmp_path / "out").exists()
+
+
+def test_cnn_structure_refuses_the_feature_depth_before_building_the_grid(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(lineage, "grid2d_lineage", built.append)
+    out = tmp_path / "cnn"
+    code = main(["cnn-structure", "--grid-levels", "11", "--feature-levels", "13",
+                 "--out", str(out)])
+    assert code == 1 and built == []
+    assert capsys.readouterr().err == ("error: a complete lineage of depth 13 would store more "
+                                       "than 16,777,216 (2**24) entries at its top level\n")
+    assert not out.exists()
 
 
 def test_cnn_structure_root_case(tmp_path):

@@ -216,7 +216,7 @@ def test_gauss_seidel_rejects_mismatched_lengths():
 def _row_loop_gauss_seidel(a, x, b, sweeps):
     """The row-by-row forward sweep, the byte reference for gauss_seidel."""
     diag = a.diagonal()
-    indptr, indices, data = a.csr()
+    indptr, indices, data = a.indptr(), a.cols, a.vals
     x = np.array(x, dtype=np.float64)
     for _ in range(sweeps):
         for i in range(x.size):
@@ -238,9 +238,7 @@ def _solver_operators():
             problem = build_problem(k, bc)
             for name in ALGORITHMS:
                 if name != "gauss_seidel":
-                    ops = make_solver(name, problem).ops
-                    yield from (a for a in (ops.values() if isinstance(ops, dict) else ops)
-                                if a is not None)
+                    yield from make_solver(name, problem).ops.values()
 
 
 def _random_operators(rng):
@@ -367,7 +365,7 @@ def test_wavefront_schedule_pads_short_rows_into_one_group_per_wavefront():
     pad = multigrid._PAD_WIDTH
     for a in _mixed_width_operators(np.random.default_rng(5)):
         order, groups = multigrid._wavefront_schedule(a)
-        lengths = np.diff(a.csr()[0])[order]
+        lengths = np.diff(a.indptr())[order]
         for rows, _, cols, vals, shape in groups:
             width, v, c = shape[-2], vals.reshape(-1, shape[-2]), cols.reshape(-1, shape[-2])
             # pads (value 0.0 at the held slot n) lead each row, and only short rows get them

@@ -313,6 +313,22 @@ def test_alignment_refuses_products_of_other_leaves():
             alignment_permutation(src, dst, level)
 
 
+def test_alignment_refuses_products_of_other_lineages_with_equal_level_sizes():
+    pc = skeletal_box(path_lineage(2), complete_lineage(2))
+    pp = skeletal_box(path_lineage(2), path_lineage(2))
+    assert pc.level_sizes() == pp.level_sizes()
+    for level in range(pc.num_levels):
+        for src, dst in ((pc, pp), (pp, pc)):
+            with pytest.raises(ValueError, match="vertex sets differ, cannot align"):
+                alignment_permutation(src, dst, level)
+    with pytest.raises(ValueError, match="vertex sets differ, cannot align"):
+        factor_swap_permutation(pc, pp, 2)
+    # equal lineages built apart are the same leaves
+    again = skeletal_box(path_lineage(2), complete_lineage(2))
+    for level, n in enumerate(pc.level_sizes()):
+        assert np.array_equal(alignment_permutation(pc, again, level), np.arange(n))
+
+
 # -- weighted mode -----------------------------------------------------------
 
 

@@ -30,9 +30,14 @@ The runs:
   since no CLI path writes b;
 - the ``run_benchmark`` CSV of all six algorithms at k = 2..5, bc 1 and 2,
   with the recursive W-cycle at k = 5 in its own file;
-- in memory, not as files: every grid operator and transfer that the five
-  cycle solvers build at k = 2..7.  A grid's line hashes the triplet bytes
-  of its operator and, per coarser grid it corrects from, the child entry's
+- in memory, not as files: one ``oracle/<kind>_<f1>_<f2>`` line per
+  ``product_via_flat_assembly`` of cross, box and strong on the ``PAIRS``
+  lineages read back from disk and on path(6) x complete(6), each at the
+  oracle's default depth, hashing the triplets of every level and map;
+- in memory, every grid operator and transfer that the five cycle solvers
+  build at k = 2..7, breadth first from the finest grid through the coarser
+  grids correcting each.  A grid's line hashes the triplet bytes of its
+  operator and, per coarser grid it corrects from, the child entry's
   prolongation ``p`` (sparse triplets or dense array) and the entry's
   restriction applied to a fixed seeded vector;
 - in memory, one ``smoother/`` line per grid of those solvers: one
@@ -193,6 +198,30 @@ def _hash_array(h, a):
     h.update(np.ascontiguousarray(a).tobytes())
 
 
+def _hash_matrix(h, m):
+    h.update(repr(m.shape).encode())
+    for a in (m.rows, m.cols, m.vals):
+        _hash_array(h, a)
+
+
+def oracle_digests(out):
+    """Yield (name, sha256) of every level and map of the flat-assembly oracle
+    of each kind on the ``PAIRS`` lineages under out and on path(6) x complete(6)."""
+    from skelgraph.lineage import complete_lineage, path_lineage, read_lineage
+    from skelgraph.skeletal import product_via_flat_assembly
+
+    pairs = [(f"{f1}_{f2}", read_lineage(out / "lineages" / f1), read_lineage(out / "lineages" / f2))
+             for f1, f2 in PAIRS]
+    pairs.append(("path6_complete6", path_lineage(6), complete_lineage(6)))
+    for stem, gg1, gg2 in pairs:
+        for kind in ("cross", "box", "strong"):
+            gg = product_via_flat_assembly(gg1, gg2, kind)
+            h = hashlib.sha256()
+            for m in (*(g.adj for g in gg.levels), *gg.inter):
+                _hash_matrix(h, m)
+            yield f"oracle/{kind}_{stem}", h.hexdigest()
+
+
 def smoother_digest(gauss_seidel, a, seed):
     """sha256 of one sweep of grid a on a seeded (3, n) batch with signed zeros."""
     x, b = np.random.default_rng(seed).standard_normal((2, 3, a.nrows))
@@ -213,21 +242,18 @@ def operator_digests():
         problem = build_problem(k, 1)
         for name in CYCLE_SOLVERS:
             solver = make_solver(name, problem)
-            grids = solver.ops.items() if isinstance(solver.ops, dict) else enumerate(solver.ops)
-            for g, a in grids:
-                if a is None:  # classical keeps no grid at index 0
-                    continue
-                h = hashlib.sha256()
+            grids = [solver.top]  # every grid the cycle reaches, in first-reached order
+            for g in grids:
+                grids += [c.grid for c in solver.children[g] if c.grid not in grids]
+            for g in grids:
+                a, h = solver.ops[g], hashlib.sha256()
                 for m in (a.rows, a.cols, a.vals):
                     _hash_array(h, m)
                 for child in solver.children[g]:
-                    p = child.p
-                    if isinstance(p, SparseMatrix):
-                        h.update(repr(p.shape).encode())
-                        for m in (p.rows, p.cols, p.vals):
-                            _hash_array(h, m)
+                    if isinstance(child.p, SparseMatrix):
+                        _hash_matrix(h, child.p)
                     else:
-                        _hash_array(h, p)
+                        _hash_array(h, child.p)
                     # the restriction as the cycle computes it, on a batch of one column
                     r = np.random.default_rng(k).standard_normal(a.nrows)
                     _hash_array(h, child.restrict(r[None])[0])
@@ -251,7 +277,8 @@ def main(argv=None):
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest} {path.relative_to(out).as_posix()}")
-        for name, digest in (*validate_digests(out), *usage_error_digests(out)):
+        for name, digest in (*validate_digests(out), *usage_error_digests(out),
+                             *oracle_digests(out)):
             print(f"{digest} {name}")
     for name, digest in operator_digests():
         print(f"{digest} {name}")
