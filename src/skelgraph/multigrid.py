@@ -36,6 +36,8 @@ sweep.
 from __future__ import annotations
 
 import contextlib
+import functools
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -43,7 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .skeletal import _product_levels
-from .sparse import SparseMatrix, _repr_rows, _segments, kron, kron_sum, write_matrix_market
+from .sparse import (SparseMatrix, _kron_sum_nnz, _repr_rows, _segments, block_assemble, kron,
+                     kron_sum, write_matrix_market)
 
 __all__ = [
     "DirichletProblem",
@@ -61,7 +64,7 @@ __all__ = [
 ]
 
 RESIDUAL_FLOOR = 1e-10
-# set-up peaks at 2.37 / 2.31 / 3.33 GB at k = 11 (classical / recursive / levelwise,
+# set-up peaks at 2.37 / 2.31 / 2.40 GB at k = 11 (classical / recursive / levelwise,
 # whose finest grid is problem.A; tools/solver_peak.py ALG 11 --cycles 0) and grows ~4x
 # per step of k, so at k = 12 (where build_problem alone peaks at 3.1 GB) it needs ~10 GB
 MAX_BENCHMARK_K = 11
@@ -450,26 +453,109 @@ class RecursiveSkeletal(_GalerkinCycle):
 
 class LevelwiseSkeletal(_GalerkinCycle):
     """Classical multigrid over summed-level systems, whose hierarchy is the
-    skeletal box product of the 1D operator hierarchy with itself: the level-L
-    operator is the block diagonal of every factor-level pair (i1, i2) with
-    i1 + i2 = L, transfers move one factor per block and are
-    column-renormalized."""
+    skeletal box product of the 1D operator hierarchy with itself, built from
+    the 1D factors: the level-L operator is the block diagonal of the
+    Kronecker sums of every factor-level pair (i1, i2) with i1 + i2 = L,
+    assembled one block at a time, and each transfer is a ``_PairTransfer``."""
 
     # level L-1 repeats the level-L function content across its blocks, so
     # the raw correction overcounts; it is scaled to the energy optimum
     energy_weights = True
 
     def __init__(self, problem, gamma=1):
-        k = problem.k
-        # 1D level i sits at index i - 1, so summed level L comes out at index L - 2
-        levels = _product_levels([problem.ops1d] * 2, [problem.prolong1d] * 2, "box", sum, 2 * k - 2)
+        k, ops1d = problem.k, problem.ops1d
+        for i, p in enumerate(problem.prolong1d, start=1):
+            if p != _pair_prolongation(ops1d[i - 1].nrows) or p.nrows != ops1d[i].nrows:
+                raise ValueError(f"prolong1d[{i - 1}], from 1D level {i} to {i + 1}, is not the "
+                                 "pair aggregation the levelwise transfers are built from")
         self.blocks, ops, children = {}, {}, {2: []}
-        for L, (codec, a, p) in enumerate(levels, start=2):
-            self.blocks[L] = [tuple(i + 1 for i in lvec) for lvec in codec.blocks]
-            ops[L] = a() if L < 2 * k else problem.A
-            if p is not None:
-                children[L] = [_Child(L - 1, _renormalize_columns(p()))]
+        for L in range(2, 2 * k + 1):
+            self.blocks[L] = [(i1, L - i1) for i1 in range(max(1, L - k), min(k, L - 1) + 1)]
+            pairs = [(ops1d[i1 - 1], ops1d[i2 - 1]) for i1, i2 in self.blocks[L]]
+            sizes = [a.nrows * b.nrows for a, b in pairs]
+            ops[L] = problem.A if L == 2 * k else block_assemble(
+                {(j, j): (_kron_sum_nnz(a, b), functools.partial(kron_sum, a, b))
+                 for j, (a, b) in enumerate(pairs)}, sizes, sizes)
+            if L > 2:
+                children[L] = [_PairTransfer(problem, L, self.blocks[L], self.blocks[L - 1])]
         super().__init__(problem, gamma, 2 * k, ops, children)
+
+
+class _PairTransfer:
+    """The levelwise transfer from level L - 1 to L, applied block by block.
+
+    Fine block (i1, i2) is fed by coarse block (i1 - 1, i2) along axis 0 and
+    by (i1, i2 - 1) along axis 1, each link the 1D pair aggregation along its
+    axis.  A coarse column's norm depends only on whether its two indices lie
+    in their 1D level's last, three-node aggregate, so a link holds its
+    weights v / norm as one vector along its axis for all lines across it but
+    the last, and one for the last.  Sums run in the order of the assembled
+    matrix ``p``, from 0.0: a fine node adds its axis-0 term, then its axis-1
+    term; a coarse column folds its terms in fine-row order, so the links run
+    in fine-block order, which puts a coarse block's axis-1 link first.
+    ``p`` is built on access, through the skeletal box product; the cycle
+    never uses it.
+    """
+
+    axis = None  # as for a sparse ``_Child``: ``p`` maps whole level vectors
+
+    def __init__(self, problem, level, fine, coarse):
+        self.problem, self.grid, prolong = problem, level - 1, problem.prolong1d
+        n = [0] + [a.nrows for a in problem.ops1d]  # n[i]: nodes of 1D level i
+        # the squares of the first and of the last column of the 1D map out of each level
+        squares = [None, *((q.vals[q.cols == 0] ** 2, q.vals[q.cols == q.ncols - 1] ** 2)
+                           for q in prolong), ((), ())]
+        sizes = [[n[i] * n[j] for i, j in blocks] for blocks in (fine, coarse)]
+        at = [dict(zip(b, np.cumsum([0, *m]))) for b, m in zip((fine, coarse), sizes)]  # offsets
+        self.shape = tuple(map(sum, sizes))
+        # per link: its fine and coarse slices and shapes, the transpose putting
+        # its axis second, each fine node's parent along it, and its weights
+        self.links = []
+        for i1, i2 in fine:
+            for axis, (c1, c2) in enumerate(((i1 - 1, i2), (i1, i2 - 1))):
+                if min(c1, c2) < 1:
+                    continue
+                # [a' last, b' last]: a coarse column's squares, folded in fine-row order
+                sq = [[(*squares[c2][b], *squares[c1][a]) for b in (0, 1)] for a in (0, 1)]
+                norms = np.sqrt([[functools.reduce(operator.add, t, 0.0) for t in r] for r in sq])
+                q, table = prolong[(c1, c2)[axis] - 1], norms.T if axis else norms
+                last, across = (q.cols == q.ncols - 1).astype(np.int64), n[(i2, i1)[axis]]
+                f0, c0 = at[0][i1, i2], at[1][c1, c2]
+                self.links.append((
+                    slice(f0, f0 + q.nrows * across), slice(c0, c0 + q.ncols * across),
+                    *([(-1, m, across), (-1, across, m)][axis] for m in (q.nrows, q.ncols)),
+                    (0, 1 + axis, 2 - axis), q.cols,
+                    (q.vals / table[last, 0])[:, None], q.vals / table[last, 1]))
+
+    def prolong(self, c):
+        out = np.zeros((len(c), self.shape[0]))
+        for fine, coarse, fine_shape, coarse_shape, order, parent, w, w_last in self.links:
+            t = c[:, coarse].reshape(coarse_shape).transpose(order).take(parent, 1)
+            t[..., :-1] *= w
+            t[..., -1] *= w_last
+            y = out[:, fine].reshape(fine_shape).transpose(order)
+            y += t
+        return out
+
+    def restrict(self, r):
+        out = np.zeros((len(r), self.shape[1]))
+        for fine, coarse, fine_shape, coarse_shape, order, _, w, w_last in self.links:
+            x = r[:, fine].reshape(fine_shape).transpose(order)
+            t = x * w
+            t[..., -1] = x[..., -1] * w_last
+            y = out[:, coarse].reshape(coarse_shape).transpose(order)
+            y += t[:, :-1:2]
+            y += t[:, 1:-1:2]
+            y[:, -1] += t[:, -1]
+        return out
+
+    @property
+    def p(self):
+        """The assembled, column-renormalized prolongation, through the skeletal box product."""
+        problem = self.problem
+        *_, (_, _, p) = _product_levels([problem.ops1d] * 2, [problem.prolong1d] * 2, "box", sum,
+                                        self.grid - 1)
+        return _renormalize_columns(p())
 
 
 def _energy_optimal_combination(a, r, corrections):

@@ -8,9 +8,9 @@ entries row-major in (i1, i2).  The same layout is produced by
 :func:`product_via_flat_assembly`, which builds the product a second,
 independent way -- Kronecker products of the flat assembled adjacencies,
 re-gathered by level and truncated -- so the two constructions can be
-compared triplet-for-triplet.  The per-level builder behind the products
-is shared with the levelwise multigrid solver, whose hierarchy is the
-skeletal box product of the 1D operator hierarchy with itself.
+compared triplet-for-triplet.  The levelwise multigrid solver's hierarchy
+is the skeletal box product of the 1D operator hierarchy with itself; it is
+built from the 1D factors there, and checked against the builder here.
 
 Truncation contract: a product of factors truncated at L1, L2 is complete
 for output levels below ``meta["partial_from"]``; any emitted level at or
@@ -152,9 +152,8 @@ class LevelCodec:
 
 
 def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
-    """Shared builder of the skeletal products and the levelwise multigrid
-    hierarchy, over per-factor lists of level matrices and of coarse-to-fine
-    maps (None for a factor without them).
+    """Builder of the skeletal products, over per-factor lists of level
+    matrices and of coarse-to-fine maps (None for a factor without them).
 
     Yields, for each output level 0..max_level, its codec and callables that
     assemble its matrix and the coarse-to-fine map from the level below (None
@@ -162,9 +161,7 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
     Edges are enumerated by level-shift class: each factor either stays on
     its level (its level matrix, or an identity under the box rule) or moves
     one level (its map); a class survives iff the output level changes by at
-    most one.  The blocks of one matrix are held at a time, and a level is
-    handed over before the next level's blocks are built, so a caller that
-    keeps a transformed copy of the map never holds all the raw maps.
+    most one.  The blocks of one matrix are held at a time.
     """
     tops = [len(mats) - 1 for mats in level_mats]
     tables = _block_tables(tops, level_of, max_level)

@@ -317,6 +317,14 @@ def kron_sum(a, b):
     return SparseMatrix(na * nb, na * nb, rows, cols, vals)
 
 
+def _kron_sum_nnz(a, b):
+    """Stored count of ``kron_sum(a, b)``: each factor's off-diagonal entries
+    once per row of the other, plus each diagonal slot where a_ii or b_pp is stored."""
+    off_a, off_b, bare_a, bare_b = (int(np.count_nonzero(x)) for x in (
+        a.rows != a.cols, b.rows != b.cols, a.diagonal() == 0.0, b.diagonal() == 0.0))
+    return off_a * b.nrows + a.nrows * off_b + a.nrows * b.nrows - bare_a * bare_b
+
+
 def block_assemble(blocks, row_sizes, col_sizes):
     """Assemble a block matrix from a {(block_row, block_col): matrix} map.
 
@@ -324,16 +332,24 @@ def block_assemble(blocks, row_sizes, col_sizes):
     every supplied block must match its slot dimensions exactly.  Entries
     come out row-major: blocks in (block row, block column) order, so with at
     most one block per block row (block-diagonal levels) nothing is sorted.
+
+    A block may also be given as a pair (nnz, make): ``make()`` builds it when
+    its turn comes and it is dropped once copied, so of such blocks only one
+    is alive at a time.
     """
     row_off = np.concatenate([[0], np.cumsum(row_sizes)]).astype(np.int64)
     col_off = np.concatenate([[0], np.cumsum(col_sizes)]).astype(np.int64)
     items = sorted(blocks.items(), key=lambda item: item[0])
-    ends = np.cumsum([0] + [m.nnz for _, m in items])
+    ends = np.cumsum([0] + [m[0] if type(m) is tuple else m.nnz for _, m in items])
     rows, cols = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1], dtype=np.int64)
     vals = np.empty(ends[-1])
     for ((bi, bj), m), start, end in zip(items, ends[:-1], ends[1:]):
         if not (0 <= bi < len(row_sizes) and 0 <= bj < len(col_sizes)):
             raise ValueError(f"block position {(bi, bj)} out of range")
+        if type(m) is tuple:
+            m = m[1]()
+            if m.nnz != end - start:
+                raise ValueError(f"block {(bi, bj)} has {m.nnz} entries, {end - start} declared")
         if m.shape != (row_sizes[bi], col_sizes[bj]):
             raise ValueError(
                 f"block {(bi, bj)} has shape {m.shape}, slot expects "

@@ -38,8 +38,10 @@ The runs:
   build at k = 2..7, breadth first from the finest grid through the coarser
   grids correcting each.  A grid's line hashes the triplet bytes of its
   operator and, per coarser grid it corrects from, the child entry's
-  prolongation ``p`` (sparse triplets or dense array) and the entry's
-  restriction applied to a fixed seeded vector;
+  prolongation ``p`` (sparse triplets or dense array), the entry's
+  restriction applied to a fixed seeded vector, and (see
+  ``transfer_digest``) its prolongation of one seeded coarse column and its
+  restriction and prolongation of seeded three-column batches;
 - in memory, one ``smoother/`` line per grid of those solvers: one
   ``gauss_seidel`` sweep of the grid on a seeded batch holding signed zeros,
   once for its first column alone (B = 1) and once for all three (B = 3).
@@ -232,6 +234,18 @@ def smoother_digest(gauss_seidel, a, seed):
     return h.hexdigest()
 
 
+def transfer_digest(h, child, fine, coarse, seed):
+    """Add to h the prolongation of a seeded coarse column, and the restriction
+    and prolongation of seeded batches of three columns holding signed zeros."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((3, coarse))
+    r = rng.standard_normal((3, fine))
+    c[:, ::3], r[:, 1::4] = -0.0, -0.0
+    _hash_array(h, child.prolong(c[:1]))
+    _hash_array(h, child.restrict(r))
+    _hash_array(h, child.prolong(c))
+
+
 def operator_digests():
     """Yield (name, sha256) for every grid of the five cycle solvers at k = 2..7,
     and one smoother line after each."""
@@ -250,13 +264,15 @@ def operator_digests():
                 for m in (a.rows, a.cols, a.vals):
                     _hash_array(h, m)
                 for child in solver.children[g]:
-                    if isinstance(child.p, SparseMatrix):
-                        _hash_matrix(h, child.p)
+                    p = child.p
+                    if isinstance(p, SparseMatrix):
+                        _hash_matrix(h, p)
                     else:
-                        _hash_array(h, child.p)
+                        _hash_array(h, p)
                     # the restriction as the cycle computes it, on a batch of one column
                     r = np.random.default_rng(k).standard_normal(a.nrows)
                     _hash_array(h, child.restrict(r[None])[0])
+                    transfer_digest(h, child, a.nrows, solver.ops[child.grid].nrows, k)
                 grid = f"k{k}/{name}/{str(g).replace(' ', '')}"
                 yield f"operators/{grid}", h.hexdigest()
                 yield f"smoother/{grid}", smoother_digest(gauss_seidel, a, k)
