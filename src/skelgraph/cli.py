@@ -10,6 +10,7 @@ Market file per matrix.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main call
 def _build_parser():
     parser = _Parser(prog="skelgraph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

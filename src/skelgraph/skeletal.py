@@ -12,6 +12,20 @@ compared triplet-for-triplet.  The levelwise multigrid solver's hierarchy
 is the skeletal box product of the 1D operator hierarchy with itself; it is
 built from the 1D factors there, and checked against the builder here.
 
+Each level matrix and each map is written by one gather,
+:func:`~skelgraph.sparse.kron_blocks`: a class block is the Kronecker product
+of one matrix per factor, so no block is built and nothing is sorted.  A
+factor that stays gives its level matrix (cross) or an identity (box); one
+that moves gives its map, or the map's transpose.  Box's class where no
+factor moves is the Kronecker sum of the level matrices.  Strong uses
+G1 ⊠ G2 = (G1 + I) × (G2 + I) - I, which makes each class a single
+Kronecker product of patterns: a factor that stays gives the reflexive
+closure A ∪ I of its level (A plus a loop at every vertex), one that moves
+its map's pattern, and the diagonal entries where neither factor has a loop
+are dropped.  Before any level is built, the entries of every level and map
+are counted from the factors' counts; a product with a count above
+``lineage.MAX_TOP_ENTRIES`` (2**24) is refused with a ``ValueError``.
+
 Truncation contract: a product of factors truncated at L1, L2 is complete
 for output levels below ``meta["partial_from"]``; any emitted level at or
 beyond that horizon would gain further blocks if the factors were deeper,
@@ -30,13 +44,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import lineage
 from .graphs import Graph
 from .lineage import GradedGraph, assemble_flat
 from .sparse import (
     SparseMatrix,
+    _kron_sum_nnz,
     block_assemble,
     identity,
     kron,
+    kron_blocks,
     kron_sum,
     pattern,
     permute,
@@ -127,7 +144,7 @@ class LevelCodec:
 
     @property
     def sizes(self):
-        return tuple(int(np.prod(d)) for d in self.dims)
+        return tuple(math.prod(d) for d in self.dims)
 
     @property
     def offsets(self):
@@ -159,9 +176,12 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
     assemble its matrix and the coarse-to-fine map from the level below (None
     at level 0), to call in that order before the next level, or to skip.
     Edges are enumerated by level-shift class: each factor either stays on
-    its level (its level matrix, or an identity under the box rule) or moves
-    one level (its map); a class survives iff the output level changes by at
-    most one.  The blocks of one matrix are held at a time.
+    its level or moves one level (its map); a class survives iff the output
+    level changes by at most one.  Each matrix is one gather of its classes'
+    Kronecker factors (see the module docstring), and the factors derived
+    from the inputs are made once a call.  Before level 0, the entries of
+    every level and map are counted from those factors' counts, and a count
+    above ``lineage.MAX_TOP_ENTRIES`` is refused.
     """
     tops = [len(mats) - 1 for mats in level_mats]
     tables = _block_tables(tops, level_of, max_level)
@@ -173,19 +193,27 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
         )
         for table in tables
     ]
-    deltas = list(itertools.product((-1, 0, 1), repeat=len(level_mats)))
+    # shifts in descending order list a block's classes by ascending column block
+    deltas = list(itertools.product((1, 0, -1), repeat=len(level_mats)))
     # under sum grading the level test below drops every class the hat rule drops
     if kind == "box":
         deltas = [d for d in deltas if sum(map(abs, d)) <= 1]
     elif mode == "tilde":
         deltas = [d for d in deltas if _alternating(d)]
+    # the vertices without a loop, where strong's closure A ∪ I adds one
+    bare = [[a.nrows - np.count_nonzero(a.diagonal()) if kind == "strong" else 0 for a in mats]
+            for mats in level_mats]
 
-    def assemble(classes, row_level, col_level):
-        blocks = {key: _class_block(level_mats, maps, kind, *c) for key, c in classes.items()}
-        return block_assemble(blocks, codecs[row_level].sizes, codecs[col_level].sizes)
+    def entries(lvec, cvec):
+        if kind == "box" and lvec == cvec:
+            return _kron_sum_nnz(*(mats[l] for mats, l in zip(level_mats, lvec)))
+        counts = [_stored_map(m, l, c).nnz if l != c else mats[l].nrows if kind == "box"
+                  else mats[l].nnz + z[l] for m, mats, z, l, c in zip(maps, level_mats, bare, lvec, cvec)]
+        return math.prod(counts) - (math.prod(z[l] for z, l in zip(bare, lvec)) if lvec == cvec else 0)
 
+    # per level, the classes of its matrix and of the map into it: (block row, block column, lvec, cvec)
+    classes = [([], []) for _ in tables]
     for level, table in enumerate(tables):
-        intra, down = {}, {}
         for b, lvec in enumerate(table):
             for d in deltas:
                 cvec = tuple(l - s for l, s in zip(lvec, d))
@@ -194,45 +222,53 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
                 clevel = level_of(cvec)
                 # a level rise is the transpose of a block stored one level up;
                 # a change of two or more levels is dropped
-                if clevel == level:
-                    intra[b, index[clevel][cvec]] = (lvec, cvec, d)
-                elif 0 <= clevel == level - 1:
-                    down[b, index[clevel][cvec]] = (lvec, cvec, d)
-        yield (
-            codecs[level],
-            functools.partial(assemble, intra, level, level),
-            functools.partial(assemble, down, level, level - 1) if level else None,
-        )
+                if clevel >= 0 and level - clevel in (0, 1):
+                    classes[level][level - clevel].append((b, index[clevel][cvec], lvec, cvec))
+        for what, found in zip(("level", "map into level"), classes[level]):
+            total = sum(entries(lvec, cvec) for *_, lvec, cvec in found)
+            if total > lineage.MAX_TOP_ENTRIES:
+                raise ValueError(f"product {what} {level} would store {total:,} entries, more "
+                                 f"than {lineage.MAX_TOP_ENTRIES:,} (2**24)")
 
-
-def _class_block(level_mats, maps, kind, lvec, cvec, d):
-    if kind == "strong":
-        cross = _class_block(level_mats, maps, "cross", lvec, cvec, d)
-        if sum(map(abs, d)) <= 1:
-            return support_union(cross, _class_block(level_mats, maps, "box", lvec, cvec, d))
-        return pattern(cross)
-    if kind == "box" and not any(d):
-        return kron_sum(level_mats[0][lvec[0]], level_mats[1][lvec[1]])
-    factors = []
-    for i, mats in enumerate(level_mats):
-        if d[i]:
-            factors.append(_oriented(maps[i], lvec[i], cvec[i]))
+    @functools.cache
+    def factor(i, row, col):
+        """Factor i of a class that moves it from level col to level row."""
+        a = level_mats[i][row]
+        if row != col:
+            a = _stored_map(maps[i], row, col)
+            a = a if row > col else a.transpose()
         elif kind == "box":
-            factors.append(identity(mats[lvec[i]].nrows))
-        else:
-            factors.append(mats[lvec[i]])
-    out = factors[0]
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
+            return identity(a.nrows)
+        elif kind == "strong":
+            # a loop the closure adds weighs 1/2, so the product of two weighs 1/4
+            loose = np.flatnonzero(a.diagonal() == 0.0)
+            return pattern(a) + SparseMatrix(a.nrows, a.ncols, loose, loose, np.full(loose.size, 0.5))
+        return pattern(a) if kind == "strong" else a
+
+    one = identity(1)
+
+    def assemble(level, target):
+        blocks = ((b, c, [one, kron_sum(*(m[l] for m, l in zip(level_mats, lvec)))]
+                   if kind == "box" and lvec == cvec else
+                   [factor(i, l, cl) for i, (l, cl) in enumerate(zip(lvec, cvec))])
+                  for b, c, lvec, cvec in classes[level][level - target])
+        m = kron_blocks(blocks, codecs[level].sizes, codecs[target].sizes)
+        if kind != "strong":
+            return m
+        keep = m.vals != 0.25  # a loop that both closures add is an edge of neither product
+        return SparseMatrix(m.nrows, m.ncols, m.rows[keep], m.cols[keep], np.ones(np.count_nonzero(keep)))
+
+    for level, codec in enumerate(codecs):
+        maps_in = functools.partial(assemble, level, level - 1) if level else None
+        yield codec, functools.partial(assemble, level, level), maps_in
 
 
-def _oriented(maps, row, col):
-    """A factor's map between adjacent levels, oriented (row, col): the maps
-    run coarse-to-fine, so the fine-to-coarse orientation is a transpose."""
+def _stored_map(maps, row, col):
+    """A factor's stored map between adjacent levels row and col: the maps run
+    coarse-to-fine, so it is the fine-to-coarse orientation's transpose."""
     if maps is None:
         raise ValueError("prolongation weights requested but factor has none")
-    return maps[col] if row > col else maps[row].transpose()
+    return maps[min(row, col)]
 
 
 def _alternating(d):
@@ -261,9 +297,9 @@ def skeletal_box(gg1, gg2, max_level=None, weights="pattern"):
 
 
 def skeletal_strong(gg1, gg2, max_level=None):
-    """0/1 union of the skeletal box and cross products, built block by
-    block: each level-shift class gives the 0/1 union of its cross block and,
-    when at most one factor moves, its box block."""
+    """0/1 union of the skeletal box and cross products, built as G1 ⊠ G2 =
+    (G1 + I) × (G2 + I) - I: each level-shift class is one Kronecker product
+    of patterns (see the module docstring)."""
     return _assemble_product([gg1, gg2], "strong", sum, max_level, "pattern", {"kind": "strong"})
 
 

@@ -9,10 +9,11 @@ are float64 throughout; structural comparisons never involve a tolerance.
 The constructor is the one place that enforces that form.  It first checks
 in one pass whether the keys already increase strictly; only if they do not
 does it sort them, stably, and sum each key's duplicates in input order.
-``kron``, ``kron_sum``, ``add`` (and ``-``), ``transpose``,
-``block_assemble``, ``submatrix``, ``scale`` and ``pattern`` emit their
-entries in canonical order, so they never reach that sort; ``matmul``, the one
-relabeling ``permute(a, rows, cols)`` and symmetric Matrix Market files do.
+``kron``, ``kron_blocks`` (a block matrix of Kronecker products in one
+gather), ``kron_sum``, ``add`` (and ``-``), ``transpose``, ``block_assemble``,
+``submatrix``, ``scale`` and ``pattern`` emit their entries in canonical
+order, so they never reach that sort; ``matmul``, the one relabeling
+``permute(a, rows, cols)`` and symmetric Matrix Market files do.
 
 The Matrix Market writer makes no Python object per entry.  It formats each
 distinct value once, with ``repr``, and gathers every line from byte tables
@@ -33,6 +34,7 @@ __all__ = [
     "zeros",
     "kron",
     "kron_sum",
+    "kron_blocks",
     "block_assemble",
     "permute",
     "submatrix",
@@ -74,12 +76,13 @@ class SparseMatrix:
         if not (rows.size == cols.size == vals.size):
             raise ValueError("rows, cols, vals must have equal length")
         if rows.size:
-            if rows.min() < 0 or rows.max() >= nrows:
+            # a negative index wraps to one above 2**63, so one unsigned max checks both ends
+            if rows.view(np.uint64).max() >= nrows:
                 raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= ncols:
+            if cols.view(np.uint64).max() >= ncols:
                 raise ValueError("col index out of range")
             keys = rows * ncols + cols
-            if np.all(keys[1:] > keys[:-1]):
+            if (keys[1:] > keys[:-1]).all():
                 keep = vals != 0.0
                 if not keep.all():
                     rows, cols, vals = rows[keep], cols[keep], vals[keep]
@@ -160,7 +163,10 @@ class SparseMatrix:
         return np.bincount(self.rows, weights=self.vals, minlength=self.nrows)
 
     def is_symmetric(self):
-        return self.nrows == self.ncols and self == self.transpose()
+        # the transpose's arrays (see transpose) are made and compared one at a time
+        order = np.argsort(self.cols, kind="stable")
+        return self.nrows == self.ncols and all(np.array_equal(a[order], b) for a, b in (
+            (self.cols, self.rows), (self.rows, self.cols), (self.vals, self.vals)))
 
     def indptr(self):
         """Row pointers: row i holds the entries indptr[i]:indptr[i + 1]; cached."""
@@ -323,6 +329,63 @@ def _kron_sum_nnz(a, b):
     off_a, off_b, bare_a, bare_b = (int(np.count_nonzero(x)) for x in (
         a.rows != a.cols, b.rows != b.cols, a.diagonal() == 0.0, b.diagonal() == 0.0))
     return off_a * b.nrows + a.nrows * off_b + a.nrows * b.nrows - bare_a * bare_b
+
+
+def kron_blocks(classes, row_sizes, col_sizes):
+    """A block matrix of Kronecker products, written in one gather.
+
+    ``classes`` yields (block row, block column, factors) sorted by block row,
+    then block column, each with as many factors; a block is ``kron`` of its
+    factors, but none is built.  Every entry is written in canonical order: by
+    row, then block column, then the factors' entries from left to right.  A
+    factor that only ``classes`` holds is freed once pooled.
+    """
+    row_off, col_off = np.cumsum([0, *row_sizes]), np.cumsum([0, *col_sizes])
+    classes = list(classes)
+    if not classes:
+        return SparseMatrix(row_off[-1], col_off[-1])
+    bi, bj, factors = zip(*classes)
+    # every distinct factor once: its row pointers into one pool of columns and values
+    pool = list({id(f): f for fs in factors for f in fs}.values())
+    ptr = np.concatenate([f.indptr() for f in pool])
+    ptr += np.repeat(np.cumsum([0] + [f.nnz for f in pool[:-1]]), [f.nrows + 1 for f in pool])
+    at = dict(zip(map(id, pool), np.cumsum([0] + [f.nrows + 1 for f in pool]).tolist()))
+    pcols, pvals = (np.concatenate([getattr(f, a) for f in pool]) for a in ("cols", "vals"))
+    # [factor][class]: the factor's first pointer, its row and column counts
+    base, nr, nc = np.array([[(at[id(f)], f.nrows, f.ncols) for f in fs] for fs in factors]).T
+    del classes, factors, pool
+    # one (row, class) pair per class of each row's block, in output order
+    per_block = np.bincount(bi, minlength=len(row_sizes))
+    span = np.array(row_sizes, dtype=np.int64) * per_block
+    block = np.repeat(np.arange(span.size), span)
+    r, k = np.divmod(np.arange(block.size) - (np.cumsum(span) - span)[block], per_block[block])
+    k += (np.cumsum(per_block) - per_block)[block]
+    row = row_off[block] + r
+    # a factor's row is the block's row over the later factors' row counts
+    starts, lengths = [None] * len(nr), [None] * len(nr)
+    for i in reversed(range(len(nr))):
+        r, p = np.divmod(r, nr[i][k]) if i else (None, r)
+        p += base[i][k]
+        starts[i], lengths[i] = ptr[p], ptr[p + 1] - ptr[p]
+    # expand factor by factor, dropping each index array once spent
+    it, cols, vals = np.arange(k.size), np.zeros(k.size, dtype=np.int64), np.ones(k.size)
+    for i in range(len(nr)):
+        s, n, c = starts[i][it], lengths[i][it], k[it]
+        cols *= nc[i][c]
+        if i == len(nr) - 1:
+            cols += col_off[np.asarray(bj)[c]]
+        else:
+            it = np.repeat(it, n)
+        e = _segments(s, s + n)
+        cols = np.repeat(cols, n)
+        cols += pcols[e]
+        v = pvals[e]
+        del e
+        vals = np.repeat(vals, n)
+        vals *= v
+        del v
+    del ptr, pcols, pvals
+    return SparseMatrix(row_off[-1], col_off[-1], np.repeat(row, np.prod(lengths, axis=0)), cols, vals)
 
 
 def block_assemble(blocks, row_sizes, col_sizes):

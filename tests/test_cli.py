@@ -108,6 +108,26 @@ def test_oracle_check_refuses_a_product_that_disagrees(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["product", "strong", "{a}", "{b}"], ["product", "nway-hat", "{a}", "{b}", "{a}"],
+    ["product", "dilated", "{a}", "{b}", "--rho", "1", "2", "--levels", "5"],
+    ["cnn-structure", "--grid-levels", "2", "--feature-levels", "2"]])
+def test_products_refuse_a_level_over_the_entry_cap(tmp_path, capsys, monkeypatch, argv):
+    a, b = tmp_path / "p", tmp_path / "c"
+    main(["gen", "path", "--levels", "3", "--out", str(a)])
+    main(["gen", "complete", "--levels", "3", "--out", str(b)])
+    # the generators share the cap; grid2d(2), the deepest that cnn-structure
+    # builds here, stores 48 entries at its top level
+    monkeypatch.setattr(lineage, "MAX_TOP_ENTRIES", 48)
+    capsys.readouterr()
+    out = tmp_path / "prod"
+    assert main([x.format(a=a, b=b) for x in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: product ")
+    assert "entries, more than 48 (2**24)" in err
+    assert not out.exists()
+
+
 def test_product_dilated_metadata(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["gen", "nhat", "--levels", "4", "--out", str(a)])

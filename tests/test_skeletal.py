@@ -1,10 +1,13 @@
 """Thickening, skeletal products, their algebra, and the flat-assembly oracle."""
 
+import functools
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from skelgraph import lineage
 from skelgraph.graphs import Graph
 from skelgraph.lineage import (
     GradedGraph,
@@ -31,9 +34,14 @@ from skelgraph.skeletal import (
 )
 from skelgraph.sparse import (
     SparseMatrix,
+    block_assemble,
+    identity,
+    kron,
     kron_sum,
+    pattern,
     permute,
     support_subset,
+    support_union,
 )
 
 
@@ -170,18 +178,13 @@ def test_box_and_cross_share_vertex_sets():
 
 
 def test_skeletal_strong_is_edge_union():
-    gg1, gg2 = path_lineage(2), path_lineage(2)
-    b, c = skeletal_box(gg1, gg2), skeletal_cross(gg1, gg2)
-    s = skeletal_strong(gg1, gg2)
-    for level in range(3):
-        assert support_subset(b.levels[level].adj, s.levels[level].adj)
-        assert support_subset(c.levels[level].adj, s.levels[level].adj)
-        union = {
-            (int(r), int(c_))
-            for m in (b.levels[level].adj, c.levels[level].adj)
-            for r, c_ in zip(m.rows, m.cols)
-        }
-        assert s.levels[level].adj.nnz == len(union)
+    # G1 ⊠ G2 = (G1 + I) × (G2 + I) - I, checked against box ∪ cross on factors
+    # with a loop at every level (unit), at level 0 only (path, complete), and grid2d
+    factors = [unit_lineage(3), path_lineage(3), complete_lineage(3), grid2d_lineage(2)]
+    for gg1, gg2 in itertools.product(factors, repeat=2):
+        s, b, c = skeletal_strong(gg1, gg2), skeletal_box(gg1, gg2), skeletal_cross(gg1, gg2)
+        for got, box, cross in zip(_matrices(s), _matrices(b), _matrices(c)):
+            assert got == support_union(box, cross)
 
 
 def test_products_validate_and_flag_partial_levels():
@@ -654,3 +657,142 @@ def test_flat_assembly_oracle_builds_only_what_survives(kind):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+# -- the gather against the per-class construction --------------------------
+
+
+def _per_class(prod, ggs, kind, maps, mode=None):
+    """Every level and map of prod rebuilt one level-shift class block at a
+    time -- kron, kron_sum and support_union per class -- then block_assemble."""
+
+    def block(lvec, cvec, kind):
+        moves = [l - c for l, c in zip(lvec, cvec)]
+        if kind == "strong":
+            cross = block(lvec, cvec, "cross")
+            return support_union(cross, block(lvec, cvec, "box")) if sum(map(abs, moves)) <= 1 \
+                else pattern(cross)
+        if kind == "box" and not any(moves):
+            return kron_sum(*(gg.levels[l].adj for gg, l in zip(ggs, lvec)))
+        factors = [(m[c] if l > c else m[l].transpose()) if l != c
+                   else identity(gg.levels[l].n) if kind == "box" else gg.levels[l].adj
+                   for gg, m, l, c in zip(ggs, maps, lvec, cvec)]
+        return functools.reduce(kron, factors)
+
+    def kept(lvec, cvec):
+        moves = [l - c for l, c in zip(lvec, cvec)]
+        signs = [d for d in moves if d]
+        if kind == "box":
+            return sum(map(abs, moves)) <= 1
+        return mode != "tilde" or all(a == -b for a, b in zip(signs, signs[1:]))
+
+    codecs = prod.meta["codec"]
+    out = []
+    for L, codec in enumerate(codecs):
+        for target in [codec] + ([codecs[L - 1]] if L else []):
+            blocks = {(b, c): block(lvec, cvec, kind)
+                      for b, lvec in enumerate(codec.blocks) for c, cvec in enumerate(target.blocks)
+                      if max(abs(l - c) for l, c in zip(lvec, cvec)) <= 1 and kept(lvec, cvec)}
+            out.append(block_assemble(blocks, codec.sizes, target.sizes))
+    return out
+
+
+def _stored_bytes(m):
+    return m.shape, m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes()
+
+
+def _matrices(prod):
+    """Each level, then the map into it from the level below."""
+    return [m for L, g in enumerate(prod.levels) for m in (g.adj, *prod.inter[L - 1:L])]
+
+
+def _seeded_factors():
+    rng = np.random.default_rng(23)
+    factors = [GradedGraph([], [], None, {"name": "empty"})]
+    for make in (path_lineage, complete_lineage, grid2d_lineage, unit_lineage):
+        for depth in range(6):
+            gg = make(depth)
+            w = _weighted(gg, rng, f"{make.__name__}{depth}")
+            factors.append(GradedGraph(w.levels, w.inter, gg.prolong, w.meta))
+    return factors
+
+
+def test_gather_matches_the_per_class_construction(monkeypatch):
+    factors = _seeded_factors()
+    # every matrix the products construct is handed in canonical order, so none is sorted
+    handed, init = [], SparseMatrix.__init__
+
+    def recording_init(self, nrows, ncols, rows=(), cols=(), vals=()):
+        keys = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
+        handed.append(bool(np.all(keys[1:] > keys[:-1])))
+        init(self, nrows, ncols, rows, cols, vals)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", recording_init)
+    # every factor against its mirror in the list and against the one seven places on
+    pairs = list(zip(factors, factors[::-1])) + list(zip(factors, factors[7:] + factors[:7]))
+    cases = []
+    for gg1, gg2 in pairs:
+        for kind, build in (("cross", skeletal_cross), ("box", skeletal_box),
+                            ("strong", skeletal_strong)):
+            cases.append((build(gg1, gg2), [gg1, gg2], kind, "inter", None))
+        if gg1.top > 0 and gg2.top > 0:
+            for kind, build in (("cross", skeletal_cross), ("box", skeletal_box)):
+                cases.append((build(gg1, gg2, weights="prolong"), [gg1, gg2], kind, "prolong", None))
+        for kind in ("box", "cross"):
+            cases.append((skeletal_dilated(gg1, gg2, 1, 2, kind=kind), [gg1, gg2], kind, "inter", None))
+            shape = (lambda l: (l + 1) // 2, lambda l: 2 * l)
+            cases.append((skeletal_dilated(gg1, gg2, shape=shape, kind=kind), [gg1, gg2], kind,
+                          "inter", None))
+    for ggs in itertools.islice(zip(factors[1:], factors[9:], factors[17:]), 0, None, 2):
+        for mode in ("hat", "tilde"):
+            cases.append((skeletal_cross_nway(ggs, mode), list(ggs), "cross", "inter", mode))
+    monkeypatch.undo()
+    assert handed and all(handed)
+    for prod, ggs, kind, weights, mode in cases:
+        maps = [getattr(gg, weights) for gg in ggs]
+        want = _per_class(prod, ggs, kind, maps, mode)
+        assert [_stored_bytes(m) for m in _matrices(prod)] == [_stored_bytes(m) for m in want], \
+            prod.meta["name"]
+
+
+@pytest.mark.parametrize("kind", ["cross", "box", "strong"])
+def test_guard_counts_every_level_and_map_exactly(monkeypatch, kind):
+    # a cap equal to the largest matrix's entry count builds; one less refuses
+    builds = {"cross": skeletal_cross, "box": skeletal_box, "strong": skeletal_strong}
+    gg1, gg2 = _weighted(path_lineage(3), np.random.default_rng(5), "p"), grid2d_lineage(2)
+    products = [lambda: builds[kind](gg1, gg2), lambda: builds[kind](gg2, unit_lineage(3), 4)]
+    if kind != "strong":
+        products += [lambda: skeletal_dilated(gg1, gg2, 2, 1, kind=kind),
+                     lambda: skeletal_cross_nway([gg1, gg2, complete_lineage(2)], "tilde")]
+    for make in products:
+        monkeypatch.undo()
+        counts = [m.nnz for m in _matrices(make())]
+        largest = counts.index(max(counts))
+        monkeypatch.setattr(lineage, "MAX_TOP_ENTRIES", max(counts))
+        make()
+        monkeypatch.setattr(lineage, "MAX_TOP_ENTRIES", max(counts) - 1)
+        # _matrices lists level 0, then level L before the map into it
+        what = "map into level" if largest and largest % 2 == 0 else "level"
+        with pytest.raises(ValueError, match=f"^product {what} {(largest + 1) // 2} would store "
+                                             f"{max(counts):,} entries, more than"):
+            make()
+
+
+# tracemalloc peak over held memory of each product below when every class
+# block was built and then assembled; one gather per matrix reads 1.36 / 1.51 / 1.86
+_PER_CLASS_PEAK_RATIO = {"cross": 1.98, "box": 2.21, "strong": 2.13}
+
+
+@pytest.mark.parametrize("kind", ["cross", "box", "strong"])
+def test_product_peak_memory_over_held(kind):
+    rng = np.random.default_rng(8)
+    p, c = _weighted(path_lineage(8), rng, "p"), _weighted(complete_lineage(8), rng, "c")
+    build = {"cross": skeletal_cross, "box": skeletal_box, "strong": skeletal_strong}[kind]
+    tracemalloc.start()
+    try:
+        prod = build(p, c)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prod.levels[-1].n == 9 * 2 ** 8
+    assert peak / held <= _PER_CLASS_PEAK_RATIO[kind]

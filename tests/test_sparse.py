@@ -1,5 +1,6 @@
 """Unit tests for the canonical sparse kernels."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from skelgraph.sparse import (
     block_assemble,
     identity,
     kron,
+    kron_blocks,
     kron_sum,
     pattern,
     permute,
@@ -144,6 +146,22 @@ def _builder_cases():
     diagonal = {(i, i): random_sparse(rng, n, n) for i, n in enumerate([3, 1, 4])}
     want = sp.block_diag([m.to_dense() for m in diagonal.values()])
     cases.append(("block_assemble", block_assemble, (diagonal, [3, 1, 4], [3, 1, 4]), want))
+    # kron_blocks: two or three factors a class, block rows with two classes, one
+    # or none, a factor shared by two classes, and an empty block row
+    shared = random_sparse(rng, 2, 2)
+    shapes = {(0, 0): [(2, 3), (2, 1)], (0, 2): [(2, 2), None], (2, 1): [(1, 2), (3, 1)],
+              (2, 2): [(3, 2), (1, 2)], (3, 0): [(1, 3), (2, 1)]}
+    classes = [(bi, bj, [shared if s is None else random_sparse(rng, *s, 0.6) for s in f])
+               for (bi, bj), f in sorted(shapes.items())]
+    triple = [(0, 1, [random_sparse(rng, 2, 1), random_sparse(rng, 1, 2), random_sparse(rng, 3, 2)]),
+              (1, 0, [random_sparse(rng, 1, 2), shared, random_sparse(rng, 2, 1)])]
+    for cl, sizes_r, sizes_c in ((classes, [4, 0, 3, 2], [3, 2, 4]), (triple, [6, 4], [4, 4])):
+        dense = np.zeros((sum(sizes_r), sum(sizes_c)))
+        ro, co = np.cumsum([0] + sizes_r), np.cumsum([0] + sizes_c)
+        for bi, bj, fs in cl:
+            dense[ro[bi]:ro[bi + 1], co[bj]:co[bj + 1]] = functools.reduce(
+                np.kron, [f.to_dense() for f in fs])
+        cases.append(("kron_blocks", kron_blocks, (cl, sizes_r, sizes_c), sp.csr_array(dense)))
     return cases
 
 
@@ -170,10 +188,13 @@ def test_builders_hand_the_constructor_canonical_keys(monkeypatch, name, build, 
 
 
 def test_index_bounds_checked():
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, [2], [0], [1.0])
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, [0], [-1], [1.0])
+    # both ends of each index, and the most negative int64, which wraps to 2**63
+    for bad in (2, -1, -2 ** 63, 2 ** 62):
+        with pytest.raises(ValueError, match="^row index out of range$"):
+            SparseMatrix(2, 3, [0, bad], [0, 0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^col index out of range$"):
+            SparseMatrix(3, 2, [0, 1], [1, bad], [1.0, 1.0])
+    assert SparseMatrix(2, 3, [1], [2], [1.0]).shape == (2, 3)
 
 
 def test_kron_identity_case():

@@ -34,6 +34,11 @@ The runs:
   ``product_via_flat_assembly`` of cross, box and strong on the ``PAIRS``
   lineages read back from disk and on path(6) x complete(6), each at the
   oracle's default depth, hashing the triplets of every level and map;
+- in memory, one ``skeletal/<kind>_path8_complete8`` line per
+  ``skeletal_cross``, ``skeletal_box`` and ``skeletal_strong`` of path(8) x
+  complete(8) with seeded weights (see ``seeded_weights``) at the default
+  depth, hashing the triplets of every level and map: a size where the
+  product builder's per-entry work outweighs its per-call work;
 - in memory, every grid operator and transfer that the five cycle solvers
   build at k = 2..7, breadth first from the finest grid through the coarser
   grids correcting each.  A grid's line hashes the triplet bytes of its
@@ -224,6 +229,40 @@ def oracle_digests(out):
             yield f"oracle/{kind}_{stem}", h.hexdigest()
 
 
+def seeded_weights(gg, rng):
+    """gg with weights drawn from [0.5, 2): one per unordered vertex pair of
+    each level, so levels stay symmetric, and one per entry of each map."""
+    from skelgraph.graphs import Graph
+    from skelgraph.lineage import GradedGraph
+    from skelgraph.sparse import SparseMatrix
+
+    levels = []
+    for a in (g.adj for g in gg.levels):
+        pair = np.minimum(a.rows, a.cols) * a.ncols + np.maximum(a.rows, a.cols)
+        _, inverse = np.unique(pair, return_inverse=True)
+        vals = rng.uniform(0.5, 2.0, a.nnz)[inverse]
+        levels.append(Graph(SparseMatrix(a.nrows, a.ncols, a.rows, a.cols, vals)))
+    inter = [SparseMatrix(s.nrows, s.ncols, s.rows, s.cols, rng.uniform(0.5, 2.0, s.nnz))
+             for s in gg.inter]
+    return GradedGraph(levels, inter, None, dict(gg.meta))
+
+
+def product_digests():
+    """Yield (name, sha256) of every level and map of the three binary
+    skeletal products of seeded path(8) x complete(8)."""
+    from skelgraph import skeletal
+    from skelgraph.lineage import complete_lineage, path_lineage
+
+    rng = np.random.default_rng(8)
+    gg1, gg2 = seeded_weights(path_lineage(8), rng), seeded_weights(complete_lineage(8), rng)
+    for kind in ("cross", "box", "strong"):
+        gg = getattr(skeletal, f"skeletal_{kind}")(gg1, gg2)
+        h = hashlib.sha256()
+        for m in (*(g.adj for g in gg.levels), *gg.inter):
+            _hash_matrix(h, m)
+        yield f"skeletal/{kind}_path8_complete8", h.hexdigest()
+
+
 def smoother_digest(gauss_seidel, a, seed):
     """sha256 of one sweep of grid a on a seeded (3, n) batch with signed zeros."""
     x, b = np.random.default_rng(seed).standard_normal((2, 3, a.nrows))
@@ -296,7 +335,7 @@ def main(argv=None):
         for name, digest in (*validate_digests(out), *usage_error_digests(out),
                              *oracle_digests(out)):
             print(f"{digest} {name}")
-    for name, digest in operator_digests():
+    for name, digest in (*product_digests(), *operator_digests()):
         print(f"{digest} {name}")
 
 
