@@ -44,7 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .skeletal import _product_levels
 from .sparse import (SparseMatrix, _kron_sum_nnz, _repr_rows, _segments, block_assemble, kron,
                      kron_sum, write_matrix_market)
 
@@ -490,17 +489,14 @@ class _PairTransfer:
     in their 1D level's last, three-node aggregate, so a link holds its
     weights v / norm as one vector along its axis for all lines across it but
     the last, and one for the last.  Sums run in the order of the assembled
-    matrix ``p``, from 0.0: a fine node adds its axis-0 term, then its axis-1
-    term; a coarse column folds its terms in fine-row order, so the links run
-    in fine-block order, which puts a coarse block's axis-1 link first.
-    ``p`` is built on access, through the skeletal box product; the cycle
-    never uses it.
+    matrix, the skeletal box product's map with renormalized columns, from
+    0.0: a fine node adds its axis-0 term, then its axis-1 term; a coarse
+    column folds its terms in fine-row order, so the links run in fine-block
+    order, which puts a coarse block's axis-1 link first.
     """
 
-    axis = None  # as for a sparse ``_Child``: ``p`` maps whole level vectors
-
     def __init__(self, problem, level, fine, coarse):
-        self.problem, self.grid, prolong = problem, level - 1, problem.prolong1d
+        self.grid, prolong = level - 1, problem.prolong1d
         n = [0] + [a.nrows for a in problem.ops1d]  # n[i]: nodes of 1D level i
         # the squares of the first and of the last column of the 1D map out of each level
         squares = [None, *((q.vals[q.cols == 0] ** 2, q.vals[q.cols == q.ncols - 1] ** 2)
@@ -549,14 +545,6 @@ class _PairTransfer:
             y[:, -1] += t[:, -1]
         return out
 
-    @property
-    def p(self):
-        """The assembled, column-renormalized prolongation, through the skeletal box product."""
-        problem = self.problem
-        *_, (_, _, p) = _product_levels([problem.ops1d] * 2, [problem.prolong1d] * 2, "box", sum,
-                                        self.grid - 1)
-        return _renormalize_columns(p())
-
 
 def _energy_optimal_combination(a, r, corrections):
     """Combination of candidate corrections minimizing the energy norm of the
@@ -587,11 +575,6 @@ def _energy_optimal_combination(a, r, corrections):
     for i, d in enumerate(corrections):
         out += alpha[:, i] * d.reshape(-1, n)
     return out.reshape(r.shape)
-
-
-def _renormalize_columns(p):
-    norms = np.sqrt(np.bincount(p.cols, weights=p.vals ** 2, minlength=p.ncols))
-    return SparseMatrix(p.nrows, p.ncols, p.rows, p.cols, p.vals / norms[p.cols])
 
 
 ALGORITHMS = {

@@ -112,12 +112,11 @@ def _assemble_product(ggs, kind, level_of, max_level, weights, meta):
         # dilation rates above one can put the horizon past the deepest level
         max_level = max(min(horizon - 1, level_of(tops)), 0)
     _check_depth(max_level, level_of(tops))
-    levels = _product_levels(
+    codecs, mats, inter = _product_levels(
         [[g.adj for g in gg.levels] for gg in ggs],
         [gg.prolong if weights == "prolong" else gg.inter for gg in ggs],
         kind, level_of, max_level, meta.get("mode"),
     )
-    codecs, mats, inter = zip(*((codec, a(), p and p()) for codec, a, p in levels))
     names = ",".join(gg.meta.get("name", "?") for gg in ggs)
     meta = dict(
         meta,
@@ -127,7 +126,7 @@ def _assemble_product(ggs, kind, level_of, max_level, weights, meta):
         partial_from=horizon,
         partial_levels=[L for L in range(max_level + 1) if L >= horizon],
     )
-    return GradedGraph([Graph(m) for m in mats], inter[1:], None, meta)
+    return GradedGraph([Graph(m) for m in mats], inter, None, meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,38 +145,17 @@ class LevelCodec:
     def sizes(self):
         return tuple(math.prod(d) for d in self.dims)
 
-    @property
-    def offsets(self):
-        return np.concatenate([[0], np.cumsum(self.sizes)]).astype(np.int64)
-
-    @property
-    def total(self):
-        return int(sum(self.sizes))
-
-    def rank(self, lvec, ivec):
-        if tuple(lvec) not in self.blocks:
-            raise KeyError(f"no block {lvec} at this level")
-        b = self.blocks.index(tuple(lvec))
-        return int(self.offsets[b]) + int(np.ravel_multi_index(tuple(ivec), self.dims[b]))
-
-    def unrank(self, v):
-        if not 0 <= v < self.total:
-            raise ValueError(f"vertex {v} outside 0..{self.total - 1}")
-        b = int(np.searchsorted(self.offsets, v, side="right")) - 1
-        ivec = np.unravel_index(v - int(self.offsets[b]), self.dims[b])
-        return self.blocks[b], tuple(int(i) for i in ivec)
-
 
 def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
     """Builder of the skeletal products, over per-factor lists of level
     matrices and of coarse-to-fine maps (None for a factor without them).
 
-    Yields, for each output level 0..max_level, its codec and callables that
-    assemble its matrix and the coarse-to-fine map from the level below (None
-    at level 0), to call in that order before the next level, or to skip.
-    Edges are enumerated by level-shift class: each factor either stays on
-    its level or moves one level (its map); a class survives iff the output
-    level changes by at most one.  Each matrix is one gather of its classes'
+    Returns the codecs of output levels 0..max_level (a tuple), their
+    matrices, and the coarse-to-fine maps into levels 1..max_level, built in
+    the order level 0, level 1, map 1, level 2, map 2, ...  Edges are
+    enumerated by level-shift class: each factor either stays on its level
+    or moves one level (its map); a class survives iff the output level
+    changes by at most one.  Each matrix is one gather of its classes'
     Kronecker factors (see the module docstring), and the factors derived
     from the inputs are made once a call.  Before level 0, the entries of
     every level and map are counted from those factors' counts, and a count
@@ -186,13 +164,13 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
     tops = [len(mats) - 1 for mats in level_mats]
     tables = _block_tables(tops, level_of, max_level)
     index = [{lvec: b for b, lvec in enumerate(table)} for table in tables]
-    codecs = [
+    codecs = tuple(
         LevelCodec(
             tuple(table),
             tuple(tuple(mats[l].nrows for mats, l in zip(level_mats, lvec)) for lvec in table),
         )
         for table in tables
-    ]
+    )
     # shifts in descending order list a block's classes by ascending column block
     deltas = list(itertools.product((1, 0, -1), repeat=len(level_mats)))
     # under sum grading the level test below drops every class the hat rule drops
@@ -258,9 +236,11 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
         keep = m.vals != 0.25  # a loop that both closures add is an edge of neither product
         return SparseMatrix(m.nrows, m.ncols, m.rows[keep], m.cols[keep], np.ones(np.count_nonzero(keep)))
 
-    for level, codec in enumerate(codecs):
-        maps_in = functools.partial(assemble, level, level - 1) if level else None
-        yield codec, functools.partial(assemble, level, level), maps_in
+    levels, links = [assemble(0, 0)], []
+    for level in range(1, len(codecs)):
+        levels.append(assemble(level, level))
+        links.append(assemble(level, level - 1))
+    return codecs, levels, links
 
 
 def _stored_map(maps, row, col):
@@ -356,7 +336,12 @@ def skeletal_dilated(gg1, gg2, rho1=1, rho2=1, shape=None, kind="box", max_level
 def thicken(gg):
     """Unary thickening: output level l stacks levels 0..l of the input,
     assembled flat; consecutive output levels are linked copy-to-copy with
-    the copied graph's own adjacency."""
+    the copied graph's own adjacency.  The top level, the whole flat assembly,
+    is the largest matrix; past ``lineage.MAX_TOP_ENTRIES`` entries it is refused."""
+    total = sum(g.adj.nnz for g in gg.levels) + 2 * sum(s.nnz for s in gg.inter)
+    if total > lineage.MAX_TOP_ENTRIES:
+        raise ValueError(f"thicken level {gg.top} would store {total:,} entries, more "
+                         f"than {lineage.MAX_TOP_ENTRIES:,} (2**24)")
     sizes = gg.level_sizes()
     # output level l is the leading block of the flat assembly that ends with
     # inner level l; map l is a leading block of the level adjacencies' diagonal

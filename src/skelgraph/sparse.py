@@ -14,6 +14,8 @@ gather), ``kron_sum``, ``add`` (and ``-``), ``transpose``, ``block_assemble``,
 ``submatrix``, ``scale`` and ``pattern`` emit their entries in canonical
 order, so they never reach that sort; ``matmul``, the one relabeling
 ``permute(a, rows, cols)`` and symmetric Matrix Market files do.
+``submatrix`` reads only the entries of its row range, which two binary
+searches find in the sorted rows.
 
 The Matrix Market writer makes no Python object per entry.  It formats each
 distinct value once, with ``repr``, and gathers every line from byte tables
@@ -451,19 +453,12 @@ def permute(a, rows, cols):
 
 def submatrix(a, row_start, row_stop, col_start, col_stop):
     """Contiguous block a[row_start:row_stop, col_start:col_stop]."""
-    keep = (
-        (a.rows >= row_start)
-        & (a.rows < row_stop)
-        & (a.cols >= col_start)
-        & (a.cols < col_stop)
-    )
-    return SparseMatrix(
-        row_stop - row_start,
-        col_stop - col_start,
-        a.rows[keep] - row_start,
-        a.cols[keep] - col_start,
-        a.vals[keep],
-    )
+    # not indptr(), which caches nrows + 1 pointers: 134 MB for the oracle at L=11
+    lo, hi = np.searchsorted(a.rows, (row_start, row_stop))
+    rows, cols, vals = a.rows[lo:hi], a.cols[lo:hi], a.vals[lo:hi]
+    keep = (cols >= col_start) & (cols < col_stop)
+    return SparseMatrix(row_stop - row_start, col_stop - col_start,
+                        rows[keep] - row_start, cols[keep] - col_start, vals[keep])
 
 
 def pattern(a):

@@ -128,6 +128,30 @@ def test_products_refuse_a_level_over_the_entry_cap(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_thicken_refuses_a_top_level_over_the_entry_cap(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "p"
+    main(["gen", "path", "--levels", "3", "--out", str(src)])
+    # thicken's top level is the whole flat assembly, its largest matrix
+    cap = lineage.assemble_flat(read_lineage(src)).adj.nnz
+    flattened = []
+
+    def recorded(gg):
+        flattened.append(gg)
+        return lineage.assemble_flat(gg)
+
+    monkeypatch.setattr(skeletal, "assemble_flat", recorded)
+    monkeypatch.setattr(lineage, "MAX_TOP_ENTRIES", cap)
+    assert main(["thicken", str(src), "--out", str(tmp_path / "at")]) == 0 and flattened
+    monkeypatch.setattr(lineage, "MAX_TOP_ENTRIES", cap - 1)
+    flattened.clear()
+    capsys.readouterr()
+    out = tmp_path / "over"
+    assert main(["thicken", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: thicken level 3 would store {cap:,} entries, more than {cap - 1:,} (2**24)\n"
+    assert not flattened and not out.exists()
+
+
 def test_product_dilated_metadata(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["gen", "nhat", "--levels", "4", "--out", str(a)])

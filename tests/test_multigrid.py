@@ -480,10 +480,10 @@ def test_finest_grid_is_the_problem_operator(k, monkeypatch):
         assert len(calls) == k * k - 1, name
         assert not any(a is one_d and b is one_d for a, b in calls), name
     # the level-2k matrix the levelwise solver no longer assembles is A, triplet for triplet
-    *_, (codec, top, _) = _product_levels([prob.ops1d] * 2, [prob.prolong1d] * 2, "box", sum,
-                                          2 * k - 2)
-    assert codec.blocks == ((k - 1, k - 1),)
-    a = top()
+    codecs, levels, _ = _product_levels([prob.ops1d] * 2, [prob.prolong1d] * 2, "box", sum,
+                                        2 * k - 2)
+    assert codecs[-1].blocks == ((k - 1, k - 1),)
+    a = levels[-1]
     assert a.shape == prob.A.shape
     for got, want in ((a.rows, prob.A.rows), (a.cols, prob.A.cols), (a.vals, prob.A.vals)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -516,6 +516,19 @@ def test_solvers_of_one_problem_share_the_schedule_of_its_operator(monkeypatch):
     assert prob.A._sweep_cache is shared
 
 
+def _assembled_prolongations(prob):
+    """Each levelwise transfer as one matrix, keyed by its fine level: the
+    skeletal box product's maps, columns renormalized.  The block transfers
+    are checked against them byte for byte."""
+    *_, links = _product_levels([prob.ops1d] * 2, [prob.prolong1d] * 2, "box", sum,
+                                2 * prob.k - 2)
+    out = {}
+    for level, p in enumerate(links, start=3):
+        norms = np.sqrt(np.bincount(p.cols, weights=p.vals ** 2, minlength=p.ncols))
+        out[level] = SparseMatrix(p.nrows, p.ncols, p.rows, p.cols, p.vals / norms[p.cols])
+    return out
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_levelwise_hierarchy_matches_dense_kronecker_reference(k):
     # every level operator and transfer, rebuilt densely from the 1D factors
@@ -523,7 +536,7 @@ def test_levelwise_hierarchy_matches_dense_kronecker_reference(k):
     solver = LevelwiseSkeletal(prob)
     a1 = a2 = [a.to_dense() for a in prob.ops1d]
     p1 = p2 = [p.to_dense() for p in prob.prolong1d]
-    transfer = {level: c[0].p for level, c in solver.children.items() if c}
+    transfer = _assembled_prolongations(prob)
     eye = [np.eye(a.shape[0]) for a in a1]
     assert sorted(solver.ops) == list(range(2, 2 * k + 1))
     assert sorted(transfer) == list(range(3, 2 * k + 1))
@@ -562,7 +575,7 @@ def test_levelwise_hierarchy_matches_dense_kronecker_reference(k):
 def test_levelwise_transfer_columns_unit_norm():
     prob = build_problem(3, 1)
     solver = LevelwiseSkeletal(prob)
-    for p in (c[0].p for c in solver.children.values() if c):
+    for p in _assembled_prolongations(prob).values():
         norms = np.bincount(p.cols, weights=p.vals ** 2, minlength=p.ncols)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -581,9 +594,11 @@ def test_levelwise_transfers_match_assembled_prolongation(k):
     # matvec, so the two agree byte for byte, signed zeros included
     rng = np.random.default_rng(k)
     for bc in (1, 2):
-        solver = LevelwiseSkeletal(build_problem(k, bc))
+        prob = build_problem(k, bc)
+        solver = LevelwiseSkeletal(prob)
+        assembled = _assembled_prolongations(prob)
         for level, (child,) in ((g, c) for g, c in solver.children.items() if c):
-            p = child.p
+            p = assembled[level]
             assert p.shape == (solver.ops[level].nrows, solver.ops[child.grid].nrows)
             for batch in (1, 3):
                 r = _signed_zero_batch(rng, (batch, p.nrows))
@@ -598,11 +613,12 @@ def test_levelwise_levels_are_the_skeletal_box_product(k):
     # of the 1D operator hierarchy with itself, here built by independent code
     prob = build_problem(k, 1)
     solver = LevelwiseSkeletal(prob)
-    levels = _product_levels([prob.ops1d] * 2, [prob.prolong1d] * 2, "box", sum, 2 * k - 2)
-    for L, (codec, a, _) in enumerate(levels, start=2):
+    codecs, levels, _ = _product_levels([prob.ops1d] * 2, [prob.prolong1d] * 2, "box", sum,
+                                        2 * k - 2)
+    for L, (codec, want) in enumerate(zip(codecs, levels), start=2):
         assert solver.blocks[L] == [(i1 + 1, i2 + 1) for i1, i2 in codec.blocks]
         if L < 2 * k:
-            want, got = a(), solver.ops[L]
+            got = solver.ops[L]
             assert got.shape == want.shape
             for x, y in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -732,28 +748,38 @@ def test_batched_energy_combination_matches_one_call_per_column():
                 assert got[j].tobytes() == want.tobytes()
 
 
-def _reference_restrict(child, r):
-    """The transfers as the per-visit cycle applied them, one vector at a time."""
-    p = child.p
-    if child.axis is None:
+def _reference_restrict(child, p, r):
+    """The transfers as the per-visit cycle applied them, one vector at a time,
+    through the child's prolongation p."""
+    axis = getattr(child, "axis", None)
+    if axis is None:
         return p.T @ r
-    if child.axis == 0:
+    if axis == 0:
         return (p.T @ r.reshape(p.shape[0], -1)).ravel()
     return (r.reshape(-1, p.shape[0]) @ p).ravel()
 
 
-def _reference_prolong(child, c):
-    p = child.p
-    if child.axis is None:
+def _reference_prolong(child, p, c):
+    axis = getattr(child, "axis", None)
+    if axis is None:
         return p @ c
-    if child.axis == 0:
+    if axis == 0:
         return (p @ c.reshape(p.shape[1], -1)).ravel()
     return (c.reshape(-1, p.shape[1]) @ p.T).ravel()
 
 
-def _sequential_visit(solver, g, x, b):
+def _prolongations(solver):
+    """Per grid, its children's prolongations: a ``_Child``'s own ``p``, or a
+    levelwise transfer's assembled matrix."""
+    assembled = (_assembled_prolongations(solver.problem)
+                 if isinstance(solver, LevelwiseSkeletal) else {})
+    return {g: [assembled[g] if assembled else child.p for child in children]
+            for g, children in solver.children.items()}
+
+
+def _sequential_visit(solver, prolongs, g, x, b):
     """One visit at a time down the cycle recursion, the byte reference for
-    the depth-by-depth pass."""
+    the depth-by-depth pass; ``prolongs`` as from ``_prolongations``."""
     a, children = solver.ops[g], solver.children[g]
     if not children and solver.coarsest_exact:
         return gauss_seidel(a, x, b), float(a.nnz)
@@ -761,13 +787,13 @@ def _sequential_visit(solver, g, x, b):
     work = float(a.nnz)
     r = b - a @ x
     corrections = []
-    for child in children:
-        rc = _reference_restrict(child, r)
+    for child, p in zip(children, prolongs[g]):
+        rc = _reference_restrict(child, p, r)
         c = np.zeros(rc.size)
         for _ in range(solver.gamma):
-            c, w = _sequential_visit(solver, child.grid, c, rc)
+            c, w = _sequential_visit(solver, prolongs, child.grid, c, rc)
             work += w
-        corrections.append(_reference_prolong(child, c))
+        corrections.append(_reference_prolong(child, p, c))
     if solver.energy_weights:
         x = x + (_gram_solve_combination(a, r, corrections) if corrections else 0.0)
     else:
@@ -788,8 +814,9 @@ def test_depth_pass_matches_sequential_recursion_bit_for_bit(k):
             solver = (LevelwiseSkeletal(prob, 2) if name == "skeletal_levelwise_w"
                       else make_solver(name, prob))
             x = want = np.zeros(prob.n ** 2)
+            prolongs = _prolongations(solver)
             for _ in range(2 if k < 5 else 1):
-                want, want_work = _sequential_visit(solver, solver.top, want, prob.b)
+                want, want_work = _sequential_visit(solver, prolongs, solver.top, want, prob.b)
                 # the default chunk size, then one column per chunk
                 for cap in (multigrid._GalerkinCycle.chunk_elements, 1):
                     solver.chunk_elements = cap

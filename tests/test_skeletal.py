@@ -134,7 +134,7 @@ def test_skeletal_box_blocks_are_box_products():
     prod = skeletal_box(gg, gg)
     codec = prod.meta["codec"][2]
     adj = prod.levels[2].adj.to_dense()
-    offs = codec.offsets
+    offs = _offsets(codec)
     for b, (l1, l2) in enumerate(codec.blocks):
         block = adj[offs[b]:offs[b + 1], offs[b]:offs[b + 1]]
         expected = kron_sum(gg.levels[l1].adj, gg.levels[l2].adj).to_dense()
@@ -145,27 +145,11 @@ def test_skeletal_box_blocks_are_box_products():
     assert square.sum() == 8 and np.array_equal(square, square.T)
 
 
-def test_codec_rejects_out_of_range_vertices():
-    codec = skeletal_box(path_lineage(2), path_lineage(2)).meta["codec"][2]
-    assert codec.blocks == ((0, 2), (1, 1), (2, 0)) and codec.total == 12
-    assert codec.rank((0, 2), (0, 3)) == 3 and codec.unrank(11) == ((2, 0), (3, 0))
-    with pytest.raises(ValueError):
-        codec.rank((0, 2), (0, 7))  # past block (0, 2), into block (1, 1)
-    with pytest.raises(ValueError):
-        codec.rank((1, 1), (0, -1))
-    for v in (-1, 12):
-        with pytest.raises(ValueError):
-            codec.unrank(v)
-    with pytest.raises(KeyError):
-        codec.rank((3, 3), (0, 0))
-
-
 def test_skeletal_box_levels_disconnect_across_blocks():
     gg = path_lineage(3)
     prod = skeletal_box(gg, gg)
     for level, g in enumerate(prod.levels):
         codec = prod.meta["codec"][level]
-        offs = codec.offsets
         block_of = np.repeat(np.arange(len(codec.blocks)), codec.sizes)
         assert np.all(block_of[g.adj.rows] == block_of[g.adj.cols])
 
@@ -232,14 +216,33 @@ def test_commutativity_swap_permutation():
             assert moved == ba.inter[level]
 
 
+def _offsets(codec):
+    """Where each block of a level codec starts, and the level's vertex count last."""
+    return np.concatenate([[0], np.cumsum(codec.sizes)]).astype(np.int64)
+
+
+def _unrank(codec, v):
+    """Vertex v's block (its factor levels) and its factor indices."""
+    offs = _offsets(codec)
+    b = int(np.searchsorted(offs, v, side="right")) - 1
+    ivec = np.unravel_index(v - offs[b], codec.dims[b])
+    return codec.blocks[b], tuple(int(i) for i in ivec)
+
+
+def _rank(codec, lvec, ivec):
+    """The vertex of factor levels lvec and factor indices ivec: the inverse of _unrank."""
+    b = codec.blocks.index(tuple(lvec))
+    return int(_offsets(codec)[b]) + int(np.ravel_multi_index(tuple(ivec), codec.dims[b]))
+
+
 def _swap_per_vertex(prod_ab, prod_ba, level):
-    """The factor swap one vertex at a time, through the codecs' unrank and rank."""
+    """The factor swap one vertex at a time, through the codecs' layouts."""
     codec = prod_ab.meta["codec"][level]
     codec_ba = prod_ba.meta["codec"][level]
-    forward = np.empty(codec.total, dtype=np.int64)
-    for v in range(codec.total):
-        (l1, l2), (i1, i2) = codec.unrank(v)
-        forward[v] = codec_ba.rank((l2, l1), (i2, i1))
+    forward = np.empty(sum(codec.sizes), dtype=np.int64)
+    for v in range(forward.size):
+        (l1, l2), (i1, i2) = _unrank(codec, v)
+        forward[v] = _rank(codec_ba, (l2, l1), (i2, i1))
     return forward
 
 
@@ -248,7 +251,7 @@ def _leaves_per_vertex(gg, level, v):
     codecs, factors = gg.meta.get("codec"), gg.meta.get("factors")
     if codecs is None or factors is None:
         return (level,), (v,)
-    parts = [_leaves_per_vertex(f, l, i) for f, l, i in zip(factors, *codecs[level].unrank(v))]
+    parts = [_leaves_per_vertex(f, l, i) for f, l, i in zip(factors, *_unrank(codecs[level], v))]
     return sum((lev for lev, _ in parts), ()), sum((idx for _, idx in parts), ())
 
 
@@ -441,13 +444,13 @@ def test_distributivity_over_levelwise_sum():
             cb = rhs_parts[0].meta["codec"][level]
             cc = rhs_parts[1].meta["codec"][level]
             nb = {l: g.n for l, g in enumerate(b.levels)}
-            fwd = np.empty(codec.total, dtype=np.int64)
-            for v in range(codec.total):
-                (l1, l2), (i1, i2) = codec.unrank(v)
+            fwd = np.empty(sum(codec.sizes), dtype=np.int64)
+            for v in range(fwd.size):
+                (l1, l2), (i1, i2) = _unrank(codec, v)
                 if i2 < nb[l2]:
-                    fwd[v] = cb.rank((l1, l2), (i1, i2))
+                    fwd[v] = _rank(cb, (l1, l2), (i1, i2))
                 else:
-                    fwd[v] = cb.total + cc.rank((l1, l2), (i1, i2 - nb[l2]))
+                    fwd[v] = sum(cb.sizes) + _rank(cc, (l1, l2), (i1, i2 - nb[l2]))
             joined = levelwise_oplus(rhs_parts[0], rhs_parts[1])
             assert permute(lhs.levels[level].adj, fwd, fwd) == joined.levels[level].adj
 

@@ -383,6 +383,19 @@ def test_matmul_against_dense():
 def test_submatrix_and_permute_rows_only():
     a = SparseMatrix.from_entries(4, 4, [(0, 0, 1.0), (1, 2, 2.0), (3, 3, 3.0)])
     assert submatrix(a, 1, 3, 1, 3) == SparseMatrix.from_entries(2, 2, [(0, 1, 2.0)])
+    rng = np.random.default_rng(13)
+    for seed in range(4):
+        b = random_sparse(rng, 9, 7, density=0.3)
+        b = SparseMatrix(9, 7, *(x[b.rows % 3 != 1] for x in (b.rows, b.cols, b.vals)))
+        dense = b.to_dense()
+        # empty ranges, rows 1, 4, 7 holding no entries, ranges ending at the
+        # last row, and the whole matrix
+        ranges = [(0, 0, 0, 7), (4, 4, 2, 5), (3, 3, 0, 0), (1, 2, 0, 7), (4, 5, 1, 6),
+                  (6, 9, 0, 7), (8, 9, 3, 4), (2, 9, 5, 7), (0, 9, 0, 7), (0, 9, 2, 2),
+                  (*sorted(rng.integers(0, 10, 2)), *sorted(rng.integers(0, 8, 2)))]
+        for r0, r1, c0, c1 in ranges:
+            got = submatrix(b, r0, r1, c0, c1)
+            assert got == SparseMatrix.from_dense(dense[r0:r1, c0:c1]), (seed, r0, r1, c0, c1)
     moved = permute(a, [3, 2, 1, 0], [0, 1, 2, 3])
     assert moved == SparseMatrix.from_entries(4, 4, [(3, 0, 1.0), (2, 2, 2.0), (0, 3, 3.0)])
 

@@ -43,7 +43,8 @@ The runs:
   build at k = 2..7, breadth first from the finest grid through the coarser
   grids correcting each.  A grid's line hashes the triplet bytes of its
   operator and, per coarser grid it corrects from, the child entry's
-  prolongation ``p`` (sparse triplets or dense array), the entry's
+  prolongation ``p`` (sparse triplets or dense array; a levelwise transfer's
+  is built by ``levelwise_prolongation``), the entry's
   restriction applied to a fixed seeded vector, and (see
   ``transfer_digest``) its prolongation of one seeded coarse column and its
   restriction and prolongation of seeded three-column batches;
@@ -285,10 +286,33 @@ def transfer_digest(h, child, fine, coarse, seed):
     _hash_array(h, child.prolong(c))
 
 
+def levelwise_prolongation(solver, level):
+    """The levelwise transfer from level - 1 to level as one matrix, from the 1D
+    factors through the public sparse kernels: fine block (i1, i2) takes
+    P(i1 - 1) (x) I from coarse block (i1 - 1, i2) and I (x) P(i2 - 1) from
+    (i1, i2 - 1), then every column is scaled to unit norm."""
+    from skelgraph.sparse import SparseMatrix, block_assemble, identity, kron
+
+    ops, prolong = solver.problem.ops1d, solver.problem.prolong1d
+    fine, coarse = solver.blocks[level], solver.blocks[level - 1]
+    eye = [None, *(identity(a.nrows) for a in ops)]  # eye[i]: identity of 1D level i
+    blocks = {}
+    for b, (i1, i2) in enumerate(fine):
+        for c, (j1, j2) in enumerate(coarse):
+            if (j1, j2) == (i1 - 1, i2):
+                blocks[b, c] = kron(prolong[j1 - 1], eye[i2])
+            elif (j1, j2) == (i1, i2 - 1):
+                blocks[b, c] = kron(eye[i1], prolong[j2 - 1])
+    p = block_assemble(blocks, *([eye[i].nrows * eye[j].nrows for i, j in side]
+                                 for side in (fine, coarse)))
+    norms = np.sqrt(np.bincount(p.cols, weights=p.vals ** 2, minlength=p.ncols))
+    return SparseMatrix(p.nrows, p.ncols, p.rows, p.cols, p.vals / norms[p.cols])
+
+
 def operator_digests():
     """Yield (name, sha256) for every grid of the five cycle solvers at k = 2..7,
     and one smoother line after each."""
-    from skelgraph.multigrid import build_problem, gauss_seidel, make_solver
+    from skelgraph.multigrid import LevelwiseSkeletal, build_problem, gauss_seidel, make_solver
     from skelgraph.sparse import SparseMatrix
 
     for k in range(2, 8):
@@ -303,7 +327,8 @@ def operator_digests():
                 for m in (a.rows, a.cols, a.vals):
                     _hash_array(h, m)
                 for child in solver.children[g]:
-                    p = child.p
+                    p = (levelwise_prolongation(solver, g) if isinstance(solver, LevelwiseSkeletal)
+                         else child.p)
                     if isinstance(p, SparseMatrix):
                         _hash_matrix(h, p)
                     else:
