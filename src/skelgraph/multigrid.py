@@ -27,10 +27,10 @@ batch, restricts them into the next depth's batches, runs that depth gamma
 times, then prolongs, combines and post-smooths them.  A depth's coarse
 batch runs in chunks of at most ``chunk_elements`` values.
 
-The smoother does one sweep of forward lexicographic Gauss-Seidel per call,
-run by wavefronts (level scheduling), each one batched matmul over its rows
-padded at the front to a common width, yet bit-identical to the row-by-row
-sweep.
+The smoother does one forward lexicographic Gauss-Seidel sweep per call by
+wavefronts (level scheduling), bit-identical to the row-by-row sweep: each
+is one gather, one batched matmul over its rows padded at the front to a
+common width, and four elementwise calls on operands stored pre-shaped.
 """
 
 from __future__ import annotations
@@ -182,9 +182,9 @@ def _wavefront_schedule(a):
     group's widest row with value 0.0 at column n (the sweep's held zero); a
     longer row shares a group only with rows of its length.  Rows are
     ordered by group, then index, with columns remapped to that order.
-    ``groups`` holds the operands of each group of m rows and width L:
-    (rows, diag, cols, vals of shape (m, 1, L), gather shape (m, L, 1)), or
-    for one row (index, diagonal value, cols, vals, (L, 1)).
+    ``groups`` holds each group's operands in the shapes the sweep takes:
+    (rows, diagonal (m, 1, 1), columns (m, L, 1), values (m, 1, L)) for m
+    rows of width L, or (index, diagonal value, columns, values) for one.
     """
     n = a.nrows
     diag = a.diagonal()
@@ -230,50 +230,55 @@ def _wavefront_schedule(a):
     groups = []
     for r0, r1, e0, e1, L in zip(rc[:-1], rc[1:], ec[:-1], ec[1:], width.tolist()):
         m, c, v = r1 - r0, cols[e0:e1], vals[e0:e1]
-        groups.append((r0, diag[r0], c, v, (L, 1)) if m == 1 else
-                      (slice(r0, r1), diag[r0:r1], c, v.reshape(m, 1, L), (m, L, 1)))
+        groups.append((r0, diag[r0], c, v) if m == 1 else (slice(r0, r1), diag[r0:r1].reshape(
+            m, 1, 1), c.reshape(m, L, 1), v.reshape(m, 1, L)))
     return order, groups
 
 
 def gauss_seidel(a, x, b):
     """One forward lexicographic Gauss-Seidel sweep on x and b of shape (n,),
-    or (B, n) for B independent systems; returns a new array.
+    or (B, n) for B >= 0 independent systems; returns a new array.
 
     Rows run by the groups of ``_wavefront_schedule``, one per wavefront
     when no row holds more than ``_PAD_WIDTH`` entries.  No entry joins two
     rows of one wavefront, and a row's neighbours of lower (higher) index
     sit in earlier (later) wavefronts, so each row reads updated and old
-    values exactly as the row-by-row sweep does, for any pattern.  A group
-    is one contiguous gather (a strided operand can round differently) and
-    one stacked row-times-column matmul over its rows and the batch (with
-    one column, a one-row group takes a plain dot, which rounds the same).
-    Its pads lead each row and gather slot n, held at 0.0: a dot of at most
-    15 entries is a fused multiply-add chain from +0.0, kept by 0.0 * 0.0.
+    values exactly as the row-by-row sweep does, for any pattern.  Through
+    (n + 1, 1, 1) views of y and c, or (B, n + 1, 1, 1), a group of m rows is
+    one contiguous gather of its (m, L, 1) columns (a strided operand can
+    round differently), one stacked matmul by its (m, 1, L) values, a slice
+    of c, a subtract, a divide by its (m, 1, 1) diagonal and an in-place add
+    through a view of y; one row takes one dot per column, rounding the same.
+    Pads lead each row and gather slot n, held at 0.0: a dot of at most 15
+    entries is a fused multiply-add chain from +0.0, kept by 0.0 * 0.0.
     """
     if a.nrows != a.ncols:
         raise ValueError("gauss_seidel needs a square matrix")
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    x, b = np.asarray(x, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if x.shape != b.shape or x.ndim not in (1, 2) or x.shape[-1] != a.nrows:
         raise ValueError(f"vector shapes {x.shape}, {b.shape} incompatible with {a.shape}")
     if a._sweep_cache is None:
         a._sweep_cache = _wavefront_schedule(a)
     order, groups = a._sweep_cache
     n, out = a.nrows, np.empty(x.shape)
-    if x.ndim == 2 and len(x) > 1:
+    if x.ndim == 2 and len(x) != 1:
         y = np.concatenate((x.take(order, axis=1), np.zeros((len(x), 1))), axis=1)
-        c, batch = b.take(order, axis=1), (len(x),)
-        for rows, d, cols, vals, shape in groups:
-            dots = vals @ y.take(cols, axis=1).reshape(batch + shape)
-            y[:, rows] += (c[:, rows] - dots.reshape(batch + shape[:-2])) / d
+        c = b.take(order, axis=1)
+        y3, y4, c4 = y[..., None], y[..., None, None], c[..., None, None]
+        for rows, d, cols, vals in groups:
+            if type(rows) is int:
+                operator.iadd(y[:, rows], (c[:, rows] - (vals @ y3.take(cols, axis=1))[:, 0]) / d)
+            else:
+                operator.iadd(y4[:, rows], (c4[:, rows] - vals @ y.take(cols, axis=1)) / d)
         out[:, order] = y[:, :n]
         return out
     y, c = np.append(x.reshape(-1)[order], 0.0), b.reshape(-1)[order]
-    for rows, d, cols, vals, shape in groups:
+    y3, c3 = y[:, None, None], c[:, None, None]
+    for rows, d, cols, vals in groups:
         if type(rows) is int:  # a plain dot costs less per call on chain-like grids
             y[rows] += (c[rows] - vals @ y.take(cols)) / d
         else:
-            y[rows] += (c[rows] - (vals @ y.take(cols).reshape(shape)).reshape(-1)) / d
+            operator.iadd(y3[rows], (c3[rows] - vals @ y.take(cols)) / d)
     out.reshape(-1)[order] = y[:n]
     return out
 

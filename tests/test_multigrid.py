@@ -368,13 +368,70 @@ def test_wavefront_schedule_pads_short_rows_into_one_group_per_wavefront():
     for a in _mixed_width_operators(np.random.default_rng(5)):
         order, groups = multigrid._wavefront_schedule(a)
         lengths = np.diff(a.indptr())[order]
-        for rows, _, cols, vals, shape in groups:
-            width, v, c = shape[-2], vals.reshape(-1, shape[-2]), cols.reshape(-1, shape[-2])
+        diag = a.diagonal()[order]
+        for rows, d, cols, vals in groups:
+            # the sweep's shapes: (L,) for one row, else (m, L, 1) columns and (m, 1, L) values
+            width = vals.shape[-1]
+            if type(rows) is int:
+                assert cols.shape == vals.shape == (width,) and d == diag[rows]
+            else:
+                m = rows.stop - rows.start
+                assert (cols.shape, vals.shape, d.shape) == ((m, width, 1), (m, 1, width), (m, 1, 1))
+                assert np.array_equal(d.ravel(), diag[rows])
+            v, c = vals.reshape(-1, width), cols.reshape(-1, width)
             # pads (value 0.0 at the held slot n) lead each row, and only short rows get them
             assert np.array_equal(v == 0.0, c == a.nrows)
             assert np.array_equal((v != 0.0).sum(axis=1), np.atleast_1d(lengths[rows]))
             assert np.all(np.diff((v != 0.0).astype(int), axis=1) >= 0)
             assert width <= pad or np.all(lengths[rows] == width)
+
+
+def test_gauss_seidel_calls_share_no_state():
+    # 1-D, (1, n) and (3, n) inputs in turn on one matrix, each against a fresh copy of it
+    rng = np.random.default_rng(13)
+    mixed = next(_mixed_width_operators(rng))
+    for a in (build_problem(4, 1).A, mixed, SparseMatrix(0, 0)):
+        results = []
+        for t in range(9):
+            shape = [(a.nrows,), (1, a.nrows), (3, a.nrows)][t % 3]
+            x, b = _signed_zeros(rng, rng.standard_normal(shape), rng.standard_normal(shape))
+            x0, b0 = x.copy(), b.copy()
+            got = gauss_seidel(a, x, b)
+            fresh = gauss_seidel(SparseMatrix(a.nrows, a.ncols, a.rows, a.cols, a.vals), x, b)
+            assert got.shape == shape and got.tobytes() == fresh.tobytes()
+            assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
+            results.append((got, fresh.tobytes()))
+        # a later call leaves the arrays returned before it as they were
+        assert all(got.tobytes() == want for got, want in results)
+
+
+def test_gauss_seidel_sweeps_an_empty_batch():
+    rng = np.random.default_rng(14)
+    for a in (identity(3), build_problem(3, 1).A, next(_mixed_width_operators(rng)),
+              SparseMatrix(0, 0)):
+        empty = np.zeros((0, a.nrows))
+        got = gauss_seidel(a, empty, empty)
+        assert got.shape == (a @ empty).shape == (0, a.nrows) and got.dtype == np.float64
+    # an empty batch is still checked for a zero diagonal
+    with pytest.raises(ValueError, match="nonzero diagonal"):
+        gauss_seidel(SparseMatrix.from_entries(2, 2, [(0, 1, 1.0), (1, 0, 1.0)]),
+                     np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_solver_setup_builds_no_sweep_schedule(monkeypatch):
+    # schedules are built on a matrix's first sweep, so set-up and residuals leave them unbuilt
+    for name in ALGORITHMS:
+        prob = build_problem(3, 1)
+        solver = make_solver(name, prob)
+        solver.residual(np.zeros(prob.n ** 2))
+        assert prob.A._sweep_cache is None
+        assert all(op._sweep_cache is None for op in solver.ops.values())
+
+    def refused(a):
+        raise AssertionError("a zero-budget benchmark built a sweep schedule")
+
+    monkeypatch.setattr(multigrid, "_wavefront_schedule", refused)
+    assert len(run_benchmark(3, 1, list(ALGORITHMS), 0.0).rows) == len(ALGORITHMS)
 
 
 def test_classical_cycle_reduces_residual_by_factor_two():
