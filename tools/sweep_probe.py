@@ -1,22 +1,20 @@
 """Time one Gauss-Seidel sweep of the solvers' finest grid, per wavefront group.
 
-    python tools/sweep_probe.py [SRC] [--repeat R] [--number N]
+    python tools/sweep_probe.py [SRC]
 
 imports skelgraph from SRC (default: this tree's ``src``), as
 ``tools/output_digest.py`` does, so running it once with this tree's
 ``src`` and once with the ``src`` of a ``git clone`` of another commit
 compares the smoother of the two commits without the benchmark harness.
 
-At k = 4 and 6 it builds ``build_problem(k, 1)`` and every solver of
-``ALGORITHMS``, takes each solver's finest grid (``solver.ops[solver.top]``;
-grids shared by several solvers are timed once) and, for batches of
-B = 1, 3 and 25 columns of seeded values, times ``gauss_seidel`` on it:
-R repeats of N calls after one untimed call that builds the schedule.
-B = 1 passes 1-D vectors, the single-column path every V solver takes.
-Prints one JSON line per grid and B: the grid's rows and wavefront groups,
-the solvers whose finest grid it is, the fastest repeat's time per sweep
-(min of R) and that time per group.  Times depend on the machine and its
-load, so compare two commits on one machine, run one after the other.
+At k = 4 and 6 it builds ``build_problem(k, 1)``, whose operator ``A`` is
+every solver's finest grid, and, for batches of B = 1, 3 and 25 columns of
+seeded values, times ``gauss_seidel`` on it: REPEAT repeats of NUMBER calls
+after one untimed call that builds the schedule.  B = 1 passes 1-D vectors,
+the single-column path every V solver takes.  Prints one JSON line per k
+and B: the grid's rows and wavefront groups, the fastest repeat's time per
+sweep and that time per group.  Times depend on the machine and its load,
+so compare two commits on one machine, run one after the other.
 """
 
 from __future__ import annotations
@@ -29,46 +27,36 @@ from pathlib import Path
 
 KS = (4, 6)
 BATCHES = (1, 3, 25)
+REPEAT, NUMBER = 21, 100
 
 
-def probe(k, repeat, number):
+def probe(k):
     import numpy as np
     from skelgraph import multigrid
 
-    problem = multigrid.build_problem(k, 1)
-    grids = {}  # id(grid) -> (grid, [solver names])
-    for name in sorted(multigrid.ALGORITHMS):
-        solver = multigrid.make_solver(name, problem)
-        grid = solver.ops[solver.top]
-        grids.setdefault(id(grid), (grid, []))[1].append(name)
+    a = multigrid.build_problem(k, 1).A
     rng = np.random.default_rng(k)
-    for a, names in grids.values():
-        for batch in BATCHES:
-            shape = (a.nrows,) if batch == 1 else (batch, a.nrows)
-            x, b = rng.standard_normal(shape), rng.standard_normal(shape)
-            multigrid.gauss_seidel(a, x, b)  # builds and caches the schedule
-            groups = len(a._sweep_cache[1])
-            best = min(timeit.repeat(lambda: multigrid.gauss_seidel(a, x, b),
-                                     repeat=repeat, number=number)) / number
-            yield {"k": k, "batch": batch, "rows": a.nrows, "groups": groups, "solvers": names,
-                   "sweep_us": round(best * 1e6, 1), "us_per_group": round(best * 1e6 / groups, 2),
-                   "repeat": repeat, "number": number}
+    for batch in BATCHES:
+        shape = (a.nrows,) if batch == 1 else (batch, a.nrows)
+        x, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        multigrid.gauss_seidel(a, x, b)  # builds and caches the schedule
+        groups = len(a._sweep_cache[1])
+        best = min(timeit.repeat(lambda: multigrid.gauss_seidel(a, x, b),
+                                 repeat=REPEAT, number=NUMBER)) / NUMBER
+        yield {"k": k, "batch": batch, "rows": a.nrows, "groups": groups,
+               "sweep_us": round(best * 1e6, 1), "us_per_group": round(best * 1e6 / groups, 2)}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", type=Path,
                         default=Path(__file__).resolve().parents[1] / "src")
-    parser.add_argument("--repeat", type=int, default=21, help="timed repeats (default 21)")
-    parser.add_argument("--number", type=int, default=100, help="sweeps per repeat (default 100)")
     args = parser.parse_args(argv)
     if not (args.src / "skelgraph").is_dir():
         sys.exit(f"error: no skelgraph package under {args.src}")
-    if args.repeat < 1 or args.number < 1:
-        sys.exit("error: --repeat and --number must be positive")
     sys.path.insert(0, str(args.src.resolve()))
     for k in KS:
-        for record in probe(k, args.repeat, args.number):
+        for record in probe(k):
             print(json.dumps(record), flush=True)
 
 
