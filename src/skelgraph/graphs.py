@@ -120,9 +120,8 @@ def strong_product(g1, g2):
 
 
 def degree_diagonal(g):
-    d = g.adj.row_sums()
-    idx = np.nonzero(d)[0]
-    return SparseMatrix(g.n, g.n, idx, idx, d[idx])
+    idx = np.arange(g.n)
+    return SparseMatrix(g.n, g.n, idx, idx, g.adj.row_sums())
 
 
 def laplacian(g):

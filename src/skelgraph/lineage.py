@@ -198,14 +198,16 @@ def unit_lineage(num_top_level):
 
 
 def _check_top(num_top_level, name):
-    """Refuse a negative depth, or a ``name`` lineage whose top level would
-    store more than MAX_TOP_ENTRIES entries, before anything is built."""
+    """Refuse a negative depth, a ``name`` lineage whose top level would store
+    more than MAX_TOP_ENTRIES entries, or one deeper than 24, before anything is built."""
     if num_top_level < 0:
         raise ValueError("the top level must be nonnegative")
-    # every generator is past the cap by depth 24, so a deeper one needs no exact count
+    # every generator but unit is past the cap by depth 24, so a deeper one needs no exact count
     if _TOP_ENTRIES[name](2 ** min(num_top_level, 64)) > MAX_TOP_ENTRIES:
         raise ValueError(f"a {name} lineage of depth {num_top_level} would store more than "
                          f"{MAX_TOP_ENTRIES:,} (2**24) entries at its top level")
+    if num_top_level > 24:  # only unit, one entry a level, gets here
+        raise ValueError(f"a {name} lineage of depth {num_top_level} is deeper than 24")
 
 
 def _pair_lineage(num_top_level, level_graph, name):
@@ -369,6 +371,8 @@ def read_lineage(directory):
         for f in manifest[key]:
             m = read_matrix_market(directory / f)
             try:
+                if max(m.shape) > MAX_TOP_ENTRIES:  # more vertices than any builder keeps
+                    raise ValueError(f"shape {m.shape} exceeds {MAX_TOP_ENTRIES:,} (2**24) vertices")
                 read[-1].append(Graph(m) if symmetric else m)
             except ValueError as exc:  # name the file, as the reader's own errors do
                 raise BadFileError(f"{directory / f}: {exc}") from None

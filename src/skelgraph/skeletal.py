@@ -22,9 +22,9 @@ G1 ⊠ G2 = (G1 + I) × (G2 + I) - I, which makes each class a single
 Kronecker product of patterns: a factor that stays gives the reflexive
 closure A ∪ I of its level (A plus a loop at every vertex), one that moves
 its map's pattern, and the diagonal entries where neither factor has a loop
-are dropped.  Before any level is built, the entries of every level and map
-are counted from the factors' counts; a product with a count above
-``lineage.MAX_TOP_ENTRIES`` (2**24) is refused with a ``ValueError``.
+are dropped.  Before any level is built, level by level, its vertices and then
+the entries of it and of the map into it, counted from the factors, are checked; a
+count above ``lineage.MAX_TOP_ENTRIES`` (2**24) is refused with a ``ValueError``.
 
 Truncation contract: a product of factors truncated at L1, L2 is complete
 for output levels below ``meta["partial_from"]``; any emitted level at or
@@ -157,9 +157,9 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
     or moves one level (its map); a class survives iff the output level
     changes by at most one.  Each matrix is one gather of its classes'
     Kronecker factors (see the module docstring), and the factors derived
-    from the inputs are made once a call.  Before level 0, the entries of
-    every level and map are counted from those factors' counts, and a count
-    above ``lineage.MAX_TOP_ENTRIES`` is refused.
+    from the inputs are made once a call.  Before level 0, each level's vertices,
+    then the entries of it and of the map into it (from its factors' counts),
+    are checked, and a count above ``lineage.MAX_TOP_ENTRIES`` is refused.
     """
     tops = [len(mats) - 1 for mats in level_mats]
     tables = _block_tables(tops, level_of, max_level)
@@ -178,20 +178,40 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
         deltas = [d for d in deltas if sum(map(abs, d)) <= 1]
     elif mode == "tilde":
         deltas = [d for d in deltas if _alternating(d)]
-    # the vertices without a loop, where strong's closure A ∪ I adds one
-    bare = [[a.nrows - np.count_nonzero(a.diagonal()) if kind == "strong" else 0 for a in mats]
-            for mats in level_mats]
+
+    @functools.cache
+    def factor(i, row, col):
+        """Factor i of a class that moves it from level col to level row."""
+        a = level_mats[i][row]
+        if row != col:
+            if maps[i] is None:
+                raise ValueError("prolongation weights requested but factor has none")
+            # the maps run coarse-to-fine, so a fine-to-coarse move is a transpose
+            a = maps[i][min(row, col)]
+            a = a if row > col else a.transpose()
+        elif kind == "box":
+            return identity(a.nrows)
+        elif kind == "strong":
+            # a loop the closure adds weighs 1/2, so the product of two weighs 1/4
+            loose = np.flatnonzero(a.diagonal() == 0.0)
+            return pattern(a) + SparseMatrix(a.nrows, a.ncols, loose, loose, np.full(loose.size, 0.5))
+        return pattern(a) if kind == "strong" else a
 
     def entries(lvec, cvec):
-        if kind == "box" and lvec == cvec:
+        if kind == "box" and lvec == cvec:  # its kron_sum block is built only in assemble
             return _kron_sum_nnz(*(mats[l] for mats, l in zip(level_mats, lvec)))
-        counts = [_stored_map(m, l, c).nnz if l != c else mats[l].nrows if kind == "box"
-                  else mats[l].nnz + z[l] for m, mats, z, l, c in zip(maps, level_mats, bare, lvec, cvec)]
-        return math.prod(counts) - (math.prod(z[l] for z, l in zip(bare, lvec)) if lvec == cvec else 0)
+        fs = [factor(i, l, c) for i, (l, c) in enumerate(zip(lvec, cvec))]
+        # strong drops the entries of weight 1/4, where every factor has an added loop
+        quarters = math.prod(np.count_nonzero(f.vals == 0.5) for f in fs) if kind == "strong" else 0
+        return math.prod(f.nnz for f in fs) - quarters
 
     # per level, the classes of its matrix and of the map into it: (block row, block column, lvec, cvec)
     classes = [([], []) for _ in tables]
     for level, table in enumerate(tables):
+        # before this level builds a factor, each a level or map of its or the last level's blocks
+        if (n := sum(codecs[level].sizes)) > lineage.MAX_TOP_ENTRIES:
+            raise ValueError(f"product level {level} would hold {n:,} vertices, more "
+                             f"than {lineage.MAX_TOP_ENTRIES:,} (2**24)")
         for b, lvec in enumerate(table):
             for d in deltas:
                 cvec = tuple(l - s for l, s in zip(lvec, d))
@@ -207,21 +227,6 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
             if total > lineage.MAX_TOP_ENTRIES:
                 raise ValueError(f"product {what} {level} would store {total:,} entries, more "
                                  f"than {lineage.MAX_TOP_ENTRIES:,} (2**24)")
-
-    @functools.cache
-    def factor(i, row, col):
-        """Factor i of a class that moves it from level col to level row."""
-        a = level_mats[i][row]
-        if row != col:
-            a = _stored_map(maps[i], row, col)
-            a = a if row > col else a.transpose()
-        elif kind == "box":
-            return identity(a.nrows)
-        elif kind == "strong":
-            # a loop the closure adds weighs 1/2, so the product of two weighs 1/4
-            loose = np.flatnonzero(a.diagonal() == 0.0)
-            return pattern(a) + SparseMatrix(a.nrows, a.ncols, loose, loose, np.full(loose.size, 0.5))
-        return pattern(a) if kind == "strong" else a
 
     one = identity(1)
 
@@ -241,14 +246,6 @@ def _product_levels(level_mats, maps, kind, level_of, max_level, mode=None):
         levels.append(assemble(level, level))
         links.append(assemble(level, level - 1))
     return codecs, levels, links
-
-
-def _stored_map(maps, row, col):
-    """A factor's stored map between adjacent levels row and col: the maps run
-    coarse-to-fine, so it is the fine-to-coarse orientation's transpose."""
-    if maps is None:
-        raise ValueError("prolongation weights requested but factor has none")
-    return maps[min(row, col)]
 
 
 def _alternating(d):
@@ -337,12 +334,15 @@ def thicken(gg):
     """Unary thickening: output level l stacks levels 0..l of the input,
     assembled flat; consecutive output levels are linked copy-to-copy with
     the copied graph's own adjacency.  The top level, the whole flat assembly,
-    is the largest matrix; past ``lineage.MAX_TOP_ENTRIES`` entries it is refused."""
+    is the largest; past ``lineage.MAX_TOP_ENTRIES`` entries or vertices it is refused."""
     total = sum(g.adj.nnz for g in gg.levels) + 2 * sum(s.nnz for s in gg.inter)
     if total > lineage.MAX_TOP_ENTRIES:
         raise ValueError(f"thicken level {gg.top} would store {total:,} entries, more "
                          f"than {lineage.MAX_TOP_ENTRIES:,} (2**24)")
     sizes = gg.level_sizes()
+    if sum(sizes) > lineage.MAX_TOP_ENTRIES:
+        raise ValueError(f"thicken level {gg.top} would hold {sum(sizes):,} vertices, more "
+                         f"than {lineage.MAX_TOP_ENTRIES:,} (2**24)")
     # output level l is the leading block of the flat assembly that ends with
     # inner level l; map l is a leading block of the level adjacencies' diagonal
     flat = assemble_flat(gg).adj

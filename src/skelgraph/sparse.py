@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "SparseMatrix",
     "identity",
-    "zeros",
     "kron",
     "kron_sum",
     "kron_blocks",
@@ -211,11 +210,6 @@ class SparseMatrix:
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
 
-    def __mul__(self, alpha):
-        return self.scale(alpha)
-
-    __rmul__ = __mul__
-
     def matvec(self, x):
         """self @ x for x of shape (ncols,) or (B, ncols); each row sums its
         terms in entry order, so a batch rounds like one call per vector."""
@@ -253,10 +247,6 @@ class SparseMatrix:
 def identity(n):
     idx = np.arange(n)
     return SparseMatrix(n, n, idx, idx, np.ones(n))
-
-
-def zeros(nrows, ncols):
-    return SparseMatrix(nrows, ncols)
 
 
 def _segments(starts, ends):

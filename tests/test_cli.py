@@ -11,7 +11,7 @@ import pytest
 
 from skelgraph import lineage, skeletal
 from skelgraph.cli import main
-from skelgraph.graphs import Graph
+from skelgraph.graphs import Graph, empty_graph, loop_vertex
 from skelgraph.lineage import GradedGraph, read_lineage
 from skelgraph.sparse import SparseMatrix
 
@@ -608,3 +608,95 @@ def test_bench_refuses_k_whose_solvers_do_not_fit(tmp_path, capsys):
 def test_help_exits_zero(argv, capsys):
     assert main(argv) == 0
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["product", "nway-hat", "{a}", "{a}", "--oracle-check"],
+     "--oracle-check needs a pattern-weighted box/cross/strong product"),
+    (["product", "cross", "{a}", "{a}", "{a}"], "binary products take exactly two inputs"),
+    (["product", "dilated", "{a}"], "dilated products take exactly two inputs"),
+    (["cnn-structure", "--grid-levels", "-1", "--feature-levels", "2"],
+     "level counts must be nonnegative"),
+], ids=["oracle-check-kind", "binary-arity", "dilated-arity", "cnn-negative-levels"])
+def test_usage_checks_refuse_with_their_message(tmp_path, capsys, argv, message):
+    a, out = tmp_path / "p", tmp_path / "out"
+    main(["gen", "path", "--levels", "1", "--out", str(a)])
+    capsys.readouterr()
+    assert main([x.format(a=a) for x in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _address_capped(argv):
+    """main(argv) under an address-space limit 1 GB above what is mapped now, with
+    its traced peak: an allocation past the limit fails as a MemoryError, before
+    the machine runs out."""
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    soft = mapped + 2 ** 30
+    if limits[1] != resource.RLIM_INFINITY:
+        soft = min(soft, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (soft, limits[1]))
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "cross", "{h}", "{h}", "--out", "{out}"],
+    ["product", "box", "{h}", "{h}", "--out", "{out}"],
+    ["export", "{h}", "--level", "0", "--format", "dot", "--out", "{out}"],
+    ["thicken", "{h}", "--out", "{out}"],
+    ["validate", "{h}"],
+], ids=["product-cross", "product-box", "export-dot", "thicken", "validate"])
+def test_reader_refuses_a_matrix_past_the_vertex_cap(tmp_path, capsys, argv):
+    h, out = tmp_path / "huge", tmp_path / "out"
+    main(["gen", "nhat", "--levels", "0", "--out", str(h)])
+    (h / "level_00.mtx").write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                                    "1000000000 1000000000 0\n")
+    capsys.readouterr()
+    code, peak = _address_capped([x.format(h=h, out=out) for x in argv])
+    assert code == 2 and capsys.readouterr().err == (
+        f"error: {h / 'level_00.mtx'}: shape (1000000000, 1000000000) exceeds "
+        "16,777,216 (2**24) vertices\n")
+    assert peak < 2 ** 20 and not out.exists()
+
+
+def _empty_top(path, n):
+    """A lineage of a looped root and an edgeless top level of n vertices."""
+    lineage.write_lineage(path, GradedGraph([loop_vertex(), empty_graph(n)], [SparseMatrix(n, 1)]))
+
+
+@pytest.mark.parametrize("kind", ["cross", "box", "strong"])
+def test_products_refuse_a_level_over_the_vertex_cap(tmp_path, capsys, kind):
+    # no entries at all, but level 2 pairs the two 8,192-vertex top levels
+    a, out = tmp_path / "a", tmp_path / "out"
+    _empty_top(a, 2 ** 13)
+    code, peak = _address_capped(["product", kind, str(a), str(a), "--levels", "2",
+                                  "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == (
+        "error: product level 2 would hold 67,108,864 vertices, more than 16,777,216 (2**24)\n")
+    assert peak < 2 ** 22 and not out.exists()
+
+
+def test_thicken_refuses_a_level_over_the_vertex_cap(tmp_path, capsys):
+    # every level fits, but the thickened top level stacks all of them
+    a, out = tmp_path / "a", tmp_path / "out"
+    _empty_top(a, 2 ** 24)
+    code, peak = _address_capped(["thicken", str(a), "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == (
+        "error: thicken level 1 would hold 16,777,217 vertices, more than 16,777,216 (2**24)\n")
+    assert peak < 2 ** 20 and not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["25", "1000000000"])
+def test_gen_nhat_refuses_a_depth_past_24(tmp_path, capsys, levels):
+    out = tmp_path / "out"
+    code, peak = _address_capped(["gen", "nhat", "--levels", levels, "--out", str(out)])
+    assert code == 1 and capsys.readouterr().err == (
+        f"error: a unit lineage of depth {levels} is deeper than 24\n")
+    assert peak < 2 ** 20 and not out.exists()
+    assert main(["gen", "nhat", "--levels", "24", "--out", str(out)]) == 0

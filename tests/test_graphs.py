@@ -232,3 +232,9 @@ def test_exports():
     assert to_edge_list(g) == "0 1\n1 2\n"
     dot = to_dot(loop_vertex(), "root")
     assert "0 -- 0;" in dot and dot.startswith("graph root {")
+
+
+def test_eigensystem_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="^eigensystem requires a square matrix$") as exc:
+        eigensystem(SparseMatrix(2, 3))
+    assert exc.type is ValueError

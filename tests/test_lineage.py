@@ -228,3 +228,22 @@ def test_lineage_round_trip(tmp_path):
     write_lineage(tmp_path / "h", back)
     for f in sorted((tmp_path / "g").iterdir()):
         assert f.read_bytes() == (tmp_path / "h" / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GradedGraph([empty_graph(1), empty_graph(2)], []),
+     "need exactly one inter-level map per consecutive level pair"),
+    (lambda: GradedGraph([empty_graph(1), empty_graph(2)], [SparseMatrix(2, 1)], ()),
+     "prolongations must parallel the inter-level maps"),
+    (lambda: truncate(path_lineage(2), 3), "cannot truncate to level 3"),
+    (lambda: levelwise_product(path_lineage(1), path_lineage(2)),
+     "levelwise products need equally deep factors"),
+    (lambda: levelwise_oplus(path_lineage(2), path_lineage(1)),
+     "levelwise products need equally deep factors"),
+    (lambda: growth_profile(unit_lineage(0)), "growth profile needs at least two levels"),
+], ids=["map-count", "prolongation-count", "truncate-depth", "levelwise-product-depths",
+        "levelwise-oplus-depths", "growth-profile-depth"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        call()
+    assert exc.type is ValueError

@@ -14,6 +14,7 @@ from skelgraph.multigrid import (
     GaussSeidelIteration,
     LevelwiseSkeletal,
     RecursiveSkeletal,
+    WorkTrace,
     build_problem,
     gauss_seidel,
     make_solver,
@@ -962,3 +963,16 @@ def test_benchmark_releases_each_solver_before_the_next(monkeypatch):
     monkeypatch.setattr(multigrid, "make_solver", tracked)
     run_benchmark(3, 1, sorted(ALGORITHMS), 1e4)
     assert len(made) == len(ALGORITHMS)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WorkTrace([("gs", 0, 1.0, 1.0)]).append("gs", 1, 1.0, 0.5),
+     "cumulative work must increase"),
+    (lambda: WorkTrace().append("gs", 0, 1.0, float("nan")), "residual must be finite"),
+    (lambda: gauss_seidel(SparseMatrix(2, 3), np.zeros(3), np.zeros(3)),
+     "gauss_seidel needs a square matrix"),
+], ids=["work-not-increasing", "residual-not-finite", "gauss-seidel-non-square"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        call()
+    assert exc.type is ValueError

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from skelgraph import lineage
-from skelgraph.graphs import Graph
+from skelgraph.graphs import Graph, empty_graph
 from skelgraph.lineage import (
     GradedGraph,
     assemble_flat,
@@ -764,9 +764,16 @@ def test_guard_counts_every_level_and_map_exactly(monkeypatch, kind):
     builds = {"cross": skeletal_cross, "box": skeletal_box, "strong": skeletal_strong}
     gg1, gg2 = _weighted(path_lineage(3), np.random.default_rng(5), "p"), grid2d_lineage(2)
     products = [lambda: builds[kind](gg1, gg2), lambda: builds[kind](gg2, unit_lineage(3), 4)]
+    # edgeless levels, so box's largest matrix is a map, and dense weights in place of
+    # prolongations: a count of the pattern maps instead would build one below the cap
+    path = path_lineage(3)
+    dense = [SparseMatrix.from_dense(np.ones(s.shape)) for s in path.inter]
+    bare = GradedGraph([empty_graph(g.n) for g in path.levels], path.inter, dense, {"name": "bare"})
     if kind != "strong":
         products += [lambda: skeletal_dilated(gg1, gg2, 2, 1, kind=kind),
-                     lambda: skeletal_cross_nway([gg1, gg2, complete_lineage(2)], "tilde")]
+                     lambda: skeletal_cross_nway([gg1, gg2, complete_lineage(2)], "tilde"),
+                     lambda: builds[kind](path_lineage(3), gg2, weights="prolong"),
+                     lambda: builds[kind](bare, bare, weights="prolong")]
     for make in products:
         monkeypatch.undo()
         counts = [m.nnz for m in _matrices(make())]
@@ -799,3 +806,15 @@ def test_product_peak_memory_over_held(kind):
         tracemalloc.stop()
     assert prod.levels[-1].n == 9 * 2 ** 8
     assert peak / held <= _PER_CLASS_PEAK_RATIO[kind]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: skeletal_cross_nway([path_lineage(1)]), "n-way product needs at least two factors"),
+    (lambda: skeletal_cross_nway([path_lineage(1)] * 2, "bar"), "unknown mode 'bar'"),
+    (lambda: product_via_flat_assembly(path_lineage(1), path_lineage(1), "bar"),
+     "unknown kind 'bar'"),
+], ids=["nway-one-factor", "nway-mode", "oracle-kind"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        call()
+    assert exc.type is ValueError

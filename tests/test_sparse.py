@@ -25,7 +25,6 @@ from skelgraph.sparse import (
     support_subset,
     support_union,
     write_matrix_market,
-    zeros,
 )
 
 
@@ -131,7 +130,7 @@ def _builder_cases():
     for shape in [(4, 5), (1, 1), (6, 3)]:
         a, b = random_sparse(rng, *shape), random_sparse(rng, *shape)
         c = a.scale(-1.0) + random_sparse(rng, *shape, 0.2)  # shares and cancels keys of a
-        for x, y in [(a, b), (a, c), (c, a), (a, zeros(*shape))]:
+        for x, y in [(a, b), (a, c), (c, a), (a, SparseMatrix(*shape))]:
             cases.append(("add", SparseMatrix.add, (x, y), sp.csr_array(x.to_dense() + y.to_dense())))
         cases.append(("transpose", SparseMatrix.transpose, (a,), sp.csr_array(a.to_dense().T)))
     sizes_r, sizes_c = [2, 0, 3, 1], [3, 2, 1]
@@ -228,13 +227,13 @@ def test_kron_sum_two_cliques_gives_four_cycle():
 
 
 def test_kron_sum_zero_case():
-    z = zeros(1, 1)
-    assert kron_sum(z, z) == zeros(1, 1)
+    z = SparseMatrix(1, 1)
+    assert kron_sum(z, z) == SparseMatrix(1, 1)
 
 
 def test_kron_sum_rejects_rectangular():
     with pytest.raises(ValueError):
-        kron_sum(zeros(2, 3), identity(2))
+        kron_sum(SparseMatrix(2, 3), identity(2))
 
 
 def test_kron_sum_path3_path2_is_3x2_grid():
@@ -341,7 +340,7 @@ def test_block_assemble_off_diagonal_bipartite():
 
 def test_block_assemble_rejects_misshaped_block():
     with pytest.raises(ValueError):
-        block_assemble({(0, 0): zeros(2, 2), (0, 1): zeros(3, 3)}, [2], [2, 3])
+        block_assemble({(0, 0): SparseMatrix(2, 2), (0, 1): SparseMatrix(3, 3)}, [2], [2, 3])
 
 
 def test_block_assemble_of_scaled_copies_equals_kron():
@@ -637,3 +636,21 @@ def test_matrix_market_symmetric_rejects_asymmetric(tmp_path):
     a = SparseMatrix.from_entries(2, 2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         write_matrix_market(tmp_path / "x.mtx", a, symmetric=True)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SparseMatrix(-1, 2), "matrix dimensions must be nonnegative"),
+    (lambda: SparseMatrix(2, 2, [0, 1], [0], [1.0]), "rows, cols, vals must have equal length"),
+    (lambda: SparseMatrix.from_dense(np.ones(3)), "dense input must be 2-D"),
+    (lambda: identity(2) + identity(3), r"shape mismatch in add: \(2, 2\) vs \(3, 3\)"),
+    (lambda: identity(2) @ identity(3), r"shape mismatch in matmul: \(2, 2\) @ \(3, 3\)"),
+    (lambda: support_subset(identity(2), identity(3)), "shape mismatch in support comparison"),
+    (lambda: block_assemble({(1, 0): identity(2)}, [2], [2]), r"block position \(1, 0\) out of range"),
+    (lambda: block_assemble({(0, 0): (3, lambda: identity(2))}, [2], [2]),
+     r"block \(0, 0\) has 2 entries, 3 declared"),
+], ids=["negative-dimension", "triplet-lengths", "from-dense-1d", "add-shapes", "matmul-shapes",
+        "support-subset-shapes", "block-position", "block-declared-nnz"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        call()
+    assert exc.type is ValueError
