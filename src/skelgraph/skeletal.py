@@ -22,8 +22,8 @@ G1 ⊠ G2 = (G1 + I) × (G2 + I) - I, which makes each class a single
 Kronecker product of patterns: a factor that stays gives the reflexive
 closure A ∪ I of its level (A plus a loop at every vertex), one that moves
 its map's pattern, and the diagonal entries where neither factor has a loop
-are dropped.  Before any level is built, level by level, its vertices and then
-the entries of it and of the map into it, counted from the factors, are checked; a
+are dropped.  Before any level is built, each output level's vertices, then the
+entries of it and of the map into it (counted from the factors), are checked; a
 count above ``lineage.MAX_TOP_ENTRIES`` (2**24) is refused with a ``ValueError``.
 
 Truncation contract: a product of factors truncated at L1, L2 is complete

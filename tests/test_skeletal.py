@@ -764,15 +764,15 @@ def test_guard_counts_every_level_and_map_exactly(monkeypatch, kind):
     builds = {"cross": skeletal_cross, "box": skeletal_box, "strong": skeletal_strong}
     gg1, gg2 = _weighted(path_lineage(3), np.random.default_rng(5), "p"), grid2d_lineage(2)
     products = [lambda: builds[kind](gg1, gg2), lambda: builds[kind](gg2, unit_lineage(3), 4)]
-    # edgeless levels, so box's largest matrix is a map, and dense weights in place of
-    # prolongations: a count of the pattern maps instead would build one below the cap
-    path = path_lineage(3)
-    dense = [SparseMatrix.from_dense(np.ones(s.shape)) for s in path.inter]
-    bare = GradedGraph([empty_graph(g.n) for g in path.levels], path.inter, dense, {"name": "bare"})
     if kind != "strong":
+        # edgeless levels, so box's largest matrix is a map, and dense weights in place of
+        # prolongations: a count of the pattern maps instead would build one below the cap
+        path = path_lineage(3)
+        dense = [SparseMatrix.from_dense(np.ones(s.shape)) for s in path.inter]
+        bare = GradedGraph([empty_graph(g.n) for g in path.levels], path.inter, dense, {"name": "bare"})
         products += [lambda: skeletal_dilated(gg1, gg2, 2, 1, kind=kind),
                      lambda: skeletal_cross_nway([gg1, gg2, complete_lineage(2)], "tilde"),
-                     lambda: builds[kind](path_lineage(3), gg2, weights="prolong"),
+                     lambda: builds[kind](path, gg2, weights="prolong"),
                      lambda: builds[kind](bare, bare, weights="prolong")]
     for make in products:
         monkeypatch.undo()

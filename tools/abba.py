@@ -53,18 +53,18 @@ def main(argv=None):
     for name in ("workload", "before", "after"):
         parser.add_argument(name)
     args = parser.parse_args(argv)
-    workload, before, after = args.workload, args.before, args.after
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {"before": [], "after": []}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"before": Path(tmp) / "before", "after": Path(tmp) / "after"}
-        export(before, trees["before"])
-        export(after, trees["after"])
+        trees = {side: Path(tmp) / side for side in runs}
+        for side in runs:
+            export(getattr(args, side), trees[side])
         for pair in range(1, PAIRS + 1):
             for side in ("before", "after") if pair % 2 else ("after", "before"):
-                runs[side].append(run(trees[side], workload, pair, bench["run_seconds"]))
+                runs[side].append(run(trees[side], args.workload, pair, bench["run_seconds"]))
                 print(f"pair {pair} {side} done", file=sys.stderr, flush=True)
-    print(f"{workload}: {before} -> {after}, {PAIRS} ABBA pairs at --seconds {bench['run_seconds']}")
+    print(f"{args.workload}: {args.before} -> {args.after}, {PAIRS} ABBA pairs "
+          f"at --seconds {bench['run_seconds']}")
     for metric in bench["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         b, a = ([r[name] for r in runs[side]] for side in ("before", "after"))
