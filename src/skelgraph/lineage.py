@@ -56,7 +56,7 @@ ORTHONORMAL_TOL = 1e-12
 MAX_TOP_ENTRIES = 2 ** 24
 # each generator's stored entries at a top level of n = 2**depth vertices (a side)
 _TOP_ENTRIES = {
-    "unit": lambda n: 1,
+    "nhat": lambda n: 1,
     "path": lambda n: 2 * (n - 1),
     "complete": lambda n: n * (n - 1),
     "grid2d": lambda n: 4 * n * (n - 1),
@@ -189,8 +189,8 @@ def _pair_aggregation(n_coarse):
 
 
 def unit_lineage(num_top_level):
-    """Every level is a single vertex with a self-loop, levels linked one-to-one."""
-    _check_top(num_top_level, "unit")
+    """The CLI's ``nhat``: every level one vertex with a self-loop, levels linked one-to-one."""
+    _check_top(num_top_level, "nhat")
     one = loop_vertex()
     levels = [one] * (num_top_level + 1)
     inter = [one.adj] * num_top_level
@@ -198,16 +198,16 @@ def unit_lineage(num_top_level):
 
 
 def _check_top(num_top_level, name):
-    """Refuse a negative depth, a ``name`` lineage whose top level would store
-    more than MAX_TOP_ENTRIES entries, or one deeper than 24, before anything is built."""
+    """Refuse a negative depth, a lineage of CLI generator ``name`` whose top level would
+    store more than MAX_TOP_ENTRIES entries, or one deeper than 24, before anything is built."""
     if num_top_level < 0:
         raise ValueError("the top level must be nonnegative")
-    # every generator but unit is past the cap by depth 24, so a deeper one needs no exact count
+    # every generator but nhat is past the cap by depth 24, so a deeper one needs no exact count
     if _TOP_ENTRIES[name](2 ** min(num_top_level, 64)) > MAX_TOP_ENTRIES:
         raise ValueError(f"a {name} lineage of depth {num_top_level} would store more than "
                          f"{MAX_TOP_ENTRIES:,} (2**24) entries at its top level")
-    if num_top_level > 24:  # only unit, one entry a level, gets here
-        raise ValueError(f"a {name} lineage of depth {num_top_level} is deeper than 24")
+    if num_top_level > 24:  # only nhat, one entry a level, gets here
+        raise ValueError(f"an {name} lineage of depth {num_top_level} is deeper than 24")
 
 
 def _pair_lineage(num_top_level, level_graph, name):

@@ -25,7 +25,10 @@ The cycle runs one depth at a time: all visits to a grid sit at one depth
 parents' residuals, so one pass pre-smooths them as the columns of one
 batch, restricts them into the next depth's batches, runs that depth gamma
 times, then prolongs, combines and post-smooths them.  A depth's coarse
-batch runs in chunks of at most ``chunk_elements`` values.
+batch runs in chunks of at most ``chunk_elements`` values.  A pass holding a
+whole depth (the top, or the one chunk below a whole pass) sweeps its grids
+as one block diagonal, whose wavefronts are theirs merged (recursive V at k=6:
+549 groups, not 1,404); each dot keeps its operands in order, so the bits hold.
 
 The smoother does one forward lexicographic Gauss-Seidel sweep per call by
 wavefronts (level scheduling), bit-identical to the row-by-row sweep: each
@@ -260,27 +263,31 @@ def gauss_seidel(a, x, b):
     if a._sweep_cache is None:
         a._sweep_cache = _wavefront_schedule(a)
     order, groups = a._sweep_cache
-    n, out = a.nrows, np.empty(x.shape)
-    if x.ndim == 2 and len(x) != 1:
-        y = np.concatenate((x.take(order, axis=1), np.zeros((len(x), 1))), axis=1)
-        c = b.take(order, axis=1)
+    y = np.concatenate((x.take(order, axis=-1), np.zeros((*x.shape[:-1], 1))), axis=-1)
+    _sweep_groups(groups, y, b.take(order, axis=-1))
+    out = np.empty(x.shape)
+    out[..., order] = y[..., :-1]
+    return out
+
+
+def _sweep_groups(groups, y, c):
+    """Sweep y, (n + 1,) or (B, n + 1) with last slot 0.0, by ``groups`` against c, in place."""
+    if y.ndim == 2 and len(y) == 1:
+        y, c = y[0], c[0]
+    if y.ndim == 2:
         y3, y4, c4 = y[..., None], y[..., None, None], c[..., None, None]
         for rows, d, cols, vals in groups:
             if type(rows) is int:
                 operator.iadd(y[:, rows], (c[:, rows] - (vals @ y3.take(cols, axis=1))[:, 0]) / d)
             else:
                 operator.iadd(y4[:, rows], (c4[:, rows] - vals @ y.take(cols, axis=1)) / d)
-        out[:, order] = y[:, :n]
-        return out
-    y, c = np.append(x.reshape(-1)[order], 0.0), b.reshape(-1)[order]
+        return
     y3, c3 = y[:, None, None], c[:, None, None]
     for rows, d, cols, vals in groups:
         if type(rows) is int:  # a plain dot costs less per call on chain-like grids
             y[rows] += (c[rows] - vals @ y.take(cols)) / d
         else:
             operator.iadd(y3[rows], (c3[rows] - vals @ y.take(cols)) / d)
-    out.reshape(-1)[order] = y[:n]
-    return out
 
 
 class _Child(NamedTuple):
@@ -330,6 +337,7 @@ class _GalerkinCycle:
         self.ops = ops
         self.children = children
         self.cycle_cost = float(self._cost(top, {}))
+        self._fused = {}  # grid tuple -> (groups, each grid's rows in sweep order)
 
     def _cost(self, g, memo):
         """Analytic work of one visit to grid g, the check on what _pass charges."""
@@ -342,13 +350,17 @@ class _GalerkinCycle:
                 memo[g] = 2 * a.nnz + self.gamma * below
         return memo[g]
 
-    def _pass(self, batch):
+    def _pass(self, batch, whole=False):
         """Visit every column of one depth, ``batch`` = {g: (X, B)} of shape
-        (columns, n_g); returns the cycled {g: X} and the work charged."""
-        out, work, held, coarse = {}, 0, [], {}
+        (columns, n_g); returns the cycled {g: X} and the work charged.  If
+        ``whole`` (every column of every grid at its depth), two grids or more
+        pre- and post-smooth in one ``_fused_sweep`` each; else grid by grid."""
+        fuse = whole and len(batch) > 1
+        out, work, held, coarse, post = {}, 0, [], {}, {}
+        smoothed = self._fused_sweep(batch) if fuse else {}
         for g, (x, b) in batch.items():
             a, children = self.ops[g], self.children[g]
-            x = gauss_seidel(a, x, b)
+            x = smoothed[g] if fuse else gauss_seidel(a, x, b)
             work += a.nnz * len(x)
             if not children and self.coarsest_exact:
                 out[g] = x
@@ -362,9 +374,11 @@ class _GalerkinCycle:
         rhs = {c: np.concatenate(p) if len(p) > 1 else p[0] for c, p in coarse.items()}
         del coarse
         sol = {c: np.zeros(f.shape) for c, f in rhs.items()}
-        for chunk in self._chunks(rhs):
+        chunks = list(self._chunks(rhs))
+        whole = whole and len(chunks) == 1  # one chunk of a whole depth is the next depth
+        for chunk in chunks:
             for _ in range(self.gamma):
-                done, w = self._pass({c: (sol[c][s], rhs[c][s]) for c, s in chunk.items()})
+                done, w = self._pass({c: (sol[c][s], rhs[c][s]) for c, s in chunk.items()}, whole)
                 work += w
                 for c, s in chunk.items():
                     sol[c][s] = done[c]
@@ -376,9 +390,29 @@ class _GalerkinCycle:
                 x = x + _energy_optimal_combination(a, r, corrections)
             else:
                 x = sum(corrections, x)
-            out[g] = gauss_seidel(a, x, b)
+            if fuse:
+                post[g] = x, b
+            else:
+                out[g] = gauss_seidel(a, x, b)
             work += a.nnz * len(x)
-        return out, work
+        return out | (self._fused_sweep(post) if post else {}), work
+
+    def _fused_sweep(self, batch):
+        """``gauss_seidel`` on every grid of ``batch`` = {g: (X, B)} as one sweep of their
+        block diagonal, short X and B padded with zero columns; returns {g: X}."""
+        grids = tuple(batch)
+        if grids not in self._fused:
+            sizes = [self.ops[g].nrows for g in grids]
+            order, groups = _wavefront_schedule(block_assemble(
+                {(j, j): self.ops[g] for j, g in enumerate(grids)}, sizes, sizes))
+            self._fused[grids] = groups, np.split(np.argsort(order), np.cumsum(sizes[:-1]))
+        groups, at = self._fused[grids]
+        width, n = max(len(x) for x, _ in batch.values()), sum(map(len, at))
+        y, c = np.zeros((width, n + 1)), np.zeros((width, n))
+        for (x, b), rows in zip(batch.values(), at):
+            y[:len(x), rows], c[:len(b), rows] = x, b
+        _sweep_groups(groups, y, c)
+        return {g: y[:len(x), rows] for (g, (x, _)), rows in zip(batch.items(), at)}
 
     def _chunks(self, rhs):
         """{grid: column slice} runs of rhs of at most ``chunk_elements`` values, or one column."""
@@ -397,7 +431,7 @@ class _GalerkinCycle:
             yield chunk
 
     def cycle(self, x):
-        out, work = self._pass({self.top: (np.asarray(x)[None], self.problem.b[None])})
+        out, work = self._pass({self.top: (np.asarray(x)[None], self.problem.b[None])}, True)
         return out[self.top][0], float(work)
 
     def residual(self, x):

@@ -525,19 +525,7 @@ def test_cnn_structure_counts(tmp_path):
 def test_generators_refuse_tops_that_cannot_fit(tmp_path, capsys, argv):
     # without the refusal each run would need gigabytes: a MemoryError then
     # fails the test under the address-space limit, before the machine runs out
-    limits = resource.getrlimit(resource.RLIMIT_AS)
-    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
-    soft = mapped + 2 ** 30
-    if limits[1] != resource.RLIM_INFINITY:
-        soft = min(soft, limits[1])
-    resource.setrlimit(resource.RLIMIT_AS, (soft, limits[1]))
-    tracemalloc.start()
-    try:
-        code = main(argv + ["--out", str(tmp_path / "out")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        resource.setrlimit(resource.RLIMIT_AS, limits)
+    code, peak = _address_capped(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert "16,777,216 (2**24) entries" in err
@@ -697,6 +685,6 @@ def test_gen_nhat_refuses_a_depth_past_24(tmp_path, capsys, levels):
     out = tmp_path / "out"
     code, peak = _address_capped(["gen", "nhat", "--levels", levels, "--out", str(out)])
     assert code == 1 and capsys.readouterr().err == (
-        f"error: a unit lineage of depth {levels} is deeper than 24\n")
+        f"error: an nhat lineage of depth {levels} is deeper than 24\n")
     assert peak < 2 ** 20 and not out.exists()
     assert main(["gen", "nhat", "--levels", "24", "--out", str(out)]) == 0

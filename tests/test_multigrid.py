@@ -870,6 +870,69 @@ def test_depth_pass_matches_sequential_recursion_bit_for_bit(k):
                 x = want
 
 
+def _depths(solver):
+    """The recursive solver's grids by depth, 2k - l1 - l2, deepest last."""
+    k, depths = solver.problem.k, {}
+    for l1, l2 in solver.ops:
+        depths.setdefault(2 * k - l1 - l2, []).append((l1, l2))
+    return [tuple(depths[d]) for d in sorted(depths)]
+
+
+def test_fused_sweep_matches_one_sweep_per_grid():
+    rng = np.random.default_rng(30)
+    for k in range(2, 7):
+        for gamma in (1, 2):
+            solver = RecursiveSkeletal(build_problem(k, 1 + gamma % 2), gamma)
+            fused = per_grid = 0
+            for grids in _depths(solver):
+                for counts in ([1] * len(grids), [(1, 3, 2)[i % 3] for i in range(len(grids))]):
+                    batch = {}
+                    for g, m in zip(grids, counts):
+                        n = solver.ops[g].nrows
+                        batch[g] = _signed_zeros(rng, rng.standard_normal((m, n)),
+                                                 rng.standard_normal((m, n)))
+                    copies = {g: (x.copy(), b.copy()) for g, (x, b) in batch.items()}
+                    got = solver._fused_sweep(batch)
+                    assert list(got) == list(grids)
+                    for g, (x, b) in batch.items():
+                        assert got[g].shape == x.shape
+                        assert got[g].tobytes() == gauss_seidel(solver.ops[g], x, b).tobytes()
+                        assert x.tobytes() == copies[g][0].tobytes()
+                        assert b.tobytes() == copies[g][1].tobytes()
+                # a block diagonal's wavefronts are its blocks' merged
+                waves = [len(multigrid._wavefront_schedule(solver.ops[g])[1]) for g in grids]
+                assert len(solver._fused[grids][0]) == max(waves)
+                fused, per_grid = fused + max(waves), per_grid + sum(waves)
+            assert len(solver._fused) == 2 * k - 1
+            if k == 6:
+                assert (fused, per_grid) == (549, 1404)
+
+
+@pytest.mark.parametrize("k", range(2, 5))
+def test_only_whole_depths_fuse(k):
+    prob = build_problem(k, 1)
+    x = np.zeros(prob.n ** 2)
+    # one column per chunk, or depth 1 in two chunks whose coarse batches then
+    # hold two grids each: either way no pass below the top holds a whole depth
+    split = 2 * (2 ** k - 1) * (2 ** (k - 1) - 1) - 1
+    for gamma in (1, 2):
+        solver = RecursiveSkeletal(prob, gamma)
+        want = solver.cycle(x)[0]
+        shared = [grids for grids in _depths(solver) if len(grids) > 1]
+        assert sorted(map(sorted, solver._fused)) == sorted(map(sorted, shared))
+        # grids of fused depths build no schedule of their own
+        assert all(solver.ops[g]._sweep_cache is None for grids in shared for g in grids)
+        for cap in (1, split):
+            solver = RecursiveSkeletal(prob, gamma)
+            solver.chunk_elements = cap
+            assert solver.cycle(x)[0].tobytes() == want.tobytes()
+            assert solver._fused == {}
+    for name in ("classical_mg_v", "classical_mg_w", "skeletal_levelwise_v"):
+        solver = make_solver(name, prob)
+        solver.cycle(x)
+        assert solver._fused == {}
+
+
 def test_chunks_cover_each_column_once_within_the_budget():
     solver = RecursiveSkeletal(build_problem(2, 1))
     rhs = {"a": np.zeros((5, 7)), "b": np.zeros((3, 40)), "c": np.zeros((4, 2)), "d": np.zeros((2, 0))}

@@ -1,4 +1,5 @@
-"""Time one Gauss-Seidel sweep of the solvers' finest grid, per wavefront group.
+"""Time one Gauss-Seidel sweep of the solvers' finest grid, per wavefront group,
+and one cycle of the recursive solvers.
 
     python tools/sweep_probe.py [SRC]
 
@@ -13,8 +14,12 @@ seeded values, times ``gauss_seidel`` on it: REPEAT repeats of NUMBER calls
 after one untimed call that builds the schedule.  B = 1 passes 1-D vectors,
 the single-column path every V solver takes.  Prints one JSON line per k
 and B: the grid's rows and wavefront groups, the fastest repeat's time per
-sweep and that time per group.  Times depend on the machine and its load,
-so compare two commits on one machine, run one after the other.
+sweep and that time per group.  Then, at the same k, it builds
+``skeletal_recursive_v`` and ``skeletal_recursive_w`` with ``make_solver``,
+runs one untimed cycle from zero that builds their schedules, and prints the
+fastest of CYCLE_REPEAT timed cycles from zero.  Only the public API is used,
+so the probe runs on any commit's ``src``.  Times depend on the machine and
+its load, so compare two commits on one machine, run one after the other.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from pathlib import Path
 KS = (4, 6)
 BATCHES = (1, 3, 25)
 REPEAT, NUMBER = 21, 100
+CYCLE_REPEAT = 15
 
 
 def probe(k):
@@ -47,6 +53,19 @@ def probe(k):
                "sweep_us": round(best * 1e6, 1), "us_per_group": round(best * 1e6 / groups, 2)}
 
 
+def probe_cycles(k):
+    import numpy as np
+    from skelgraph import multigrid
+
+    problem = multigrid.build_problem(k, 1)
+    x = np.zeros(problem.n ** 2)
+    for name in ("skeletal_recursive_v", "skeletal_recursive_w"):
+        solver = multigrid.make_solver(name, problem)
+        solver.cycle(x)  # builds and caches the schedules
+        best = min(timeit.repeat(lambda: solver.cycle(x), repeat=CYCLE_REPEAT, number=1))
+        yield {"k": k, "solver": name, "cycle_ms": round(best * 1e3, 2)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", type=Path,
@@ -57,6 +76,9 @@ def main(argv=None):
     sys.path.insert(0, str(args.src.resolve()))
     for k in KS:
         for record in probe(k):
+            print(json.dumps(record), flush=True)
+    for k in KS:
+        for record in probe_cycles(k):
             print(json.dumps(record), flush=True)
 
 
